@@ -1,9 +1,8 @@
 """The two training paths for the banded linear model agree.
 
-Small instances can be solved exactly: the training problem is an LP (the
-bundled dense simplex solves it).  Larger instances use mini-batch
-subgradient descent.  Here both run on the same data and land on the same
-training loss.
+The training problem is an LP, which HiGHS solves exactly at any number of
+rows.  The learners train by mini-batch subgradient descent instead.  Here
+both run on the same data and land on the same training loss.
 """
 
 import numpy as np

@@ -39,7 +39,6 @@ from .metrics import (
     wilcoxon_paired,
 )
 from .neural import MLPModel, backward, fit_sgd, forward, init_mlp, uas_bound, uas_probe
-from .simplex import LPSolution, StandardLP, build_eps_nv_lp, solve_simplex
 from .training import DivergenceError, TrainConfig, TrainTrace
 from .tuning import CVPlan, SearchSpace, cv_score, search, two_stage_protocol
 

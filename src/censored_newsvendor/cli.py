@@ -21,6 +21,7 @@ from .experiment import (
     DEFAULT_ALGORITHMS,
     DEFAULT_ALPHAS,
     ExperimentConfig,
+    _write_csv,
     linear_stability_report,
     nn_stability_report,
     run_experiment,
@@ -31,16 +32,6 @@ from .tuning import CVPlan, two_stage_protocol
 USAGE_ERROR = 1
 PARTIAL_FAILURE = 2
 IO_ERROR = 3
-
-
-def _fmt(v) -> str:
-    return f"{v:.10g}" if isinstance(v, float) else str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
 
 
 class _UsageError(Exception):

@@ -3,7 +3,7 @@
 Feature column 0 is the constant 1 by convention; the weight-decay penalty
 skips it.  Three training paths: mini-batch subgradient descent (any loss),
 ordinary least squares in closed form (squared error), and the exact LP
-solve of the band-insensitive loss.
+solve of the band-insensitive loss by HiGHS, at any number of rows.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-from .losses import EPS_NV, LossSpec, batch_loss, evaluate
-from .simplex import OPTIMAL, build_eps_nv_lp, extract_theta, solve_simplex
+from .losses import EPS_NV, ConfigurationError, LossSpec, batch_loss, evaluate
 from .training import (
     BASELINE_LOSS,
     DivergenceError,
@@ -25,8 +26,6 @@ from .training import (
     batches,
     train_val_split,
 )
-
-LP_ROW_CAP = 2000
 
 
 @dataclass
@@ -135,20 +134,36 @@ def fit_mse_closed_form(dataset) -> LinearModel:
     return LinearModel(theta)
 
 
-def fit_lp(dataset, spec: LossSpec, row_cap: int = LP_ROW_CAP) -> LinearModel:
-    """Exact minimizer of the band-insensitive loss via the bundled simplex."""
-    n = np.asarray(dataset.sales).shape[0]
-    if n > row_cap:
-        raise ValueError(
-            f"dataset has {n} rows, above the LP solver cap of {row_cap}; "
-            "use fit_gd for instances this large"
-        )
-    lp = build_eps_nv_lp(dataset, spec)
-    solution = solve_simplex(lp)
-    if solution.status != OPTIMAL:
-        raise RuntimeError(f"LP solve finished with status {solution.status}")
-    p = np.asarray(dataset.features).shape[1]
-    return LinearModel(extract_theta(solution, n, p))
+def fit_lp(dataset, spec: LossSpec) -> LinearModel:
+    """Exact minimizer of the band-insensitive loss, solved by HiGHS.
+
+    The LP has variables [theta (p, free), o (n), u (n)]: o_i is the
+    overage excess (x_i.theta - s_i - eps1)^+ and u_i the underage shortfall
+    (s_i + eps2 - x_i.theta)^+.  Its 2n inequality rows are
+    x_i.theta - o_i <= s_i + eps1 and -x_i.theta - u_i <= -(s_i + eps2), and
+    the objective is (1/n) sum[(1-a) o_i + a u_i].  The constraint matrix
+    stays sparse, so memory grows linearly in n and no row count is refused.
+    Non-finite features or sales raise ValueError.
+    """
+    if spec.kind != EPS_NV:
+        raise ConfigurationError(f"LP construction requires an {EPS_NV} spec")
+    X = np.asarray(dataset.features, dtype=float)
+    s = np.asarray(dataset.sales, dtype=float)
+    n, p = X.shape
+    if n < 1 or p < 1:
+        raise ValueError("dataset must have at least one row and one feature")
+
+    eye = sparse.identity(n)
+    A = sparse.bmat([[X, -eye, None], [-X, None, -eye]], format="csc")
+    b = np.concatenate([s + spec.eps1, -(s + spec.eps2)])
+    c = np.concatenate(
+        [np.zeros(p), np.full(n, (1.0 - spec.alpha) / n), np.full(n, spec.alpha / n)]
+    )
+    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
+    result = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if result.status != 0:
+        raise RuntimeError(f"LP solve failed: {result.message}")
+    return LinearModel(result.x[:p])
 
 
 def training_loss(model: LinearModel, dataset, spec: LossSpec) -> float:

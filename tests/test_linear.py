@@ -164,11 +164,6 @@ class TestLPPath:
         med = np.sort(s)[15]  # middle order statistic of 31 values
         assert model.theta[0] == pytest.approx(med, abs=1e-6)
 
-    def test_row_cap(self):
-        ds, _ = make_dataset(30, 2, seed=14)
-        with pytest.raises(ValueError, match="fit_gd"):
-            fit_lp(ds, LossSpec.eps_nv(0.5, 0.1), row_cap=10)
-
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

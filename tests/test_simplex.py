@@ -1,20 +1,12 @@
-"""Simplex solver correctness against brute-force grid oracles."""
+"""Exact LP fit of the band-insensitive loss against brute-force grid oracles."""
 
 import numpy as np
 import pytest
 
-from censored_newsvendor.data import Dataset
-from censored_newsvendor.losses import LossSpec, batch_loss
-from censored_newsvendor.simplex import (
-    ITERATION_LIMIT,
-    OPTIMAL,
-    UNBOUNDED,
-    StandardLP,
-    build_eps_nv_lp,
-    default_iteration_limit,
-    extract_theta,
-    solve_simplex,
-)
+from censored_newsvendor.data import Dataset, generate, scale, split_chronological
+from censored_newsvendor.linear import fit_gd, fit_lp, training_loss
+from censored_newsvendor.losses import LossSpec
+from censored_newsvendor.training import TrainConfig
 
 
 def _grid_values_1d(X, s, spec, grid):
@@ -58,90 +50,51 @@ def grid_minimum(dataset, spec, lo=-2.0, hi=3.0, step=1e-4):
     return min(best, fine)
 
 
-class TestTextbookLPs:
-    def test_one_variable(self):
-        lp = StandardLP(np.array([-1.0]), np.array([[1.0]]), np.array([1.0]))
-        sol = solve_simplex(lp)
-        assert sol.status == OPTIMAL
-        assert sol.x == pytest.approx([1.0])
-        assert sol.objective == pytest.approx(-1.0)
-
-    def test_two_variable(self):
-        # max x+y s.t. x+2y<=4, 3x+y<=6  ->  x=1.6, y=1.2
-        lp = StandardLP(
-            np.array([-1.0, -1.0]),
-            np.array([[1.0, 2.0], [3.0, 1.0]]),
-            np.array([4.0, 6.0]),
-        )
-        sol = solve_simplex(lp)
-        assert sol.status == OPTIMAL
-        assert sol.x == pytest.approx([1.6, 1.2])
-
-    def test_unbounded(self):
-        lp = StandardLP(np.array([-1.0]), np.array([[-1.0]]), np.array([1.0]))
-        assert solve_simplex(lp).status == UNBOUNDED
-
-    def test_negative_rhs_feasible(self):
-        # x >= 2 written as -x <= -2, min x -> 2 (needs phase 1 or a crash basis)
-        lp = StandardLP(np.array([1.0]), np.array([[-1.0]]), np.array([-2.0]))
-        sol = solve_simplex(lp)
-        assert sol.status == OPTIMAL
-        assert sol.x == pytest.approx([2.0])
-
-    def test_infeasible(self):
-        # x <= 1 and x >= 2
-        lp = StandardLP(
-            np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
-        )
-        assert solve_simplex(lp).status == "infeasible"
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            StandardLP(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([1.0]))
-
-
 class TestBandRegressionLP:
-    def test_variable_and_row_counts(self):
-        ds = Dataset(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))
-        lp = build_eps_nv_lp(ds, LossSpec.eps_nv(0.5, 0.2))
-        assert lp.n_vars == 10  # 2n + 2p
-        assert lp.n_constraints == 6  # 2n
-
     def test_single_point_inside_band_costs_nothing(self):
         ds = Dataset(np.array([[1.0]]), np.array([1.0]))
         spec = LossSpec.eps_nv(0.5, 0.2, 0.0)
-        sol = solve_simplex(build_eps_nv_lp(ds, spec))
-        assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(0.0, abs=1e-12)
-        theta = extract_theta(sol, 1, 1)
-        assert 1.0 - 1e-9 <= theta[0] <= 1.2 + 1e-9
+        model = fit_lp(ds, spec)
+        assert training_loss(model, ds, spec) == pytest.approx(0.0, abs=1e-12)
+        assert 1.0 - 1e-9 <= model.theta[0] <= 1.2 + 1e-9
 
     def test_two_point_instance_matches_grid(self):
         ds = Dataset(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
         spec = LossSpec.eps_nv(0.5, 0.2, 0.0)
-        sol = solve_simplex(build_eps_nv_lp(ds, spec))
+        value = training_loss(fit_lp(ds, spec), ds, spec)
         oracle = grid_minimum(ds, spec, lo=-1.0, hi=2.0, step=1e-4)
-        assert sol.objective == pytest.approx(oracle, abs=1e-4)
-        assert sol.objective == pytest.approx(0.2, abs=1e-9)  # hand evaluation
+        assert value == pytest.approx(oracle, abs=1e-4)
+        assert value == pytest.approx(0.2, abs=1e-9)  # hand evaluation
 
     def test_objective_identity(self):
+        # training_loss of the fitted coefficients equals the LP objective
+        # (1/n) sum[(1-a) o_i + a u_i] written out at the tightest slacks
         rng = np.random.default_rng(5)
-        ds = Dataset(
-            np.hstack([np.ones((12, 1)), rng.normal(size=(12, 1))]),
-            rng.uniform(0, 1, 12),
-        )
+        X = np.hstack([np.ones((12, 1)), rng.normal(size=(12, 1))])
+        s = rng.uniform(0, 1, 12)
         spec = LossSpec.eps_nv(0.7, 0.15, 0.03)
-        sol = solve_simplex(build_eps_nv_lp(ds, spec))
-        theta = extract_theta(sol, 12, 2)
-        assert sol.objective == pytest.approx(
-            batch_loss(ds.sales, ds.features @ theta, spec), abs=1e-8
+        ds = Dataset(X, s)
+        model = fit_lp(ds, spec)
+        y = X @ model.theta
+        by_hand = np.mean(
+            0.3 * np.clip(y - s - 0.15, 0.0, None) + 0.7 * np.clip(s + 0.03 - y, 0.0, None)
         )
+        assert training_loss(model, ds, spec) == pytest.approx(by_hand, abs=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            build_eps_nv_lp(
-                Dataset(np.zeros((0, 1)), np.zeros(0)), LossSpec.eps_nv(0.5, 0.1)
-            )
+            fit_lp(Dataset(np.zeros((0, 1)), np.zeros(0)), LossSpec.eps_nv(0.5, 0.1))
+
+    @pytest.mark.parametrize("column", ["sales", "features"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, column, bad):
+        X, s = np.ones((3, 2)), np.array([0.2, 0.5, 0.9])
+        if column == "sales":
+            s[1] = bad
+        else:
+            X[1, 1] = bad
+        with pytest.raises(ValueError):
+            fit_lp(Dataset(X, s), LossSpec.eps_nv(0.5, 0.1, 0.01))
 
     def test_oracle_agreement_many_instances(self):
         rng = np.random.default_rng(123)
@@ -153,29 +106,16 @@ class TestBandRegressionLP:
             ds = Dataset(X, s)
             alpha = float(rng.uniform(0.2, 0.9))
             spec = LossSpec.eps_nv(alpha, float(rng.uniform(0.05, 0.3)), 0.01)
-            lp = build_eps_nv_lp(ds, spec)
-            sol = solve_simplex(lp, max_iters=default_iteration_limit(lp))
-            assert sol.status == OPTIMAL, f"trial {trial}: {sol.status}"
+            value = training_loss(fit_lp(ds, spec), ds, spec)
             oracle = grid_minimum(ds, spec)
-            assert sol.objective <= oracle + 1e-6, f"trial {trial}"
-            assert sol.objective >= oracle - 1e-3, f"trial {trial}"
+            assert value <= oracle + 1e-6, f"trial {trial}"
+            assert value >= oracle - 1e-3, f"trial {trial}"
 
-    def test_never_hits_iteration_limit_at_default_budget(self):
-        rng = np.random.default_rng(77)
-        for n in (5, 30, 80):
-            X = np.hstack([np.ones((n, 1)), rng.uniform(-1, 1, (n, 2))])
-            ds = Dataset(X, rng.uniform(0, 1, n))
-            lp = build_eps_nv_lp(ds, LossSpec.eps_nv(0.55, 0.1976, 0.0022))
-            sol = solve_simplex(lp)
-            assert sol.status != ITERATION_LIMIT
-            assert sol.iterations < default_iteration_limit(lp)
-
-    def test_feasibility_of_reported_optimum(self):
-        rng = np.random.default_rng(9)
-        X = np.hstack([np.ones((15, 1)), rng.normal(size=(15, 2))])
-        ds = Dataset(X, rng.uniform(0, 1, 15))
-        lp = build_eps_nv_lp(ds, LossSpec.eps_nv(0.6, 0.2, 0.02))
-        sol = solve_simplex(lp)
-        assert sol.status == OPTIMAL
-        assert np.all(lp.constraint_matrix @ sol.x <= lp.rhs + 1e-8)
-        assert np.all(sol.x >= -1e-9)
+    def test_full_training_panel_beats_descent(self):
+        # the exact fit at production size: all 3294 scaled training rows
+        train, _, _ = scale(*split_chronological(generate(seed=0)))
+        spec = LossSpec.eps_nv(0.85, 0.1976, 0.0022)
+        lp_loss = training_loss(fit_lp(train, spec), train, spec)
+        config = TrainConfig(eta=0.015, batch_size=98, seed=0, max_epochs=100)
+        gd_model, _ = fit_gd(train, spec, config)
+        assert lp_loss <= training_loss(gd_model, train, spec) + 1e-9
