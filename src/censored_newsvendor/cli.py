@@ -192,15 +192,11 @@ def _load_any_model(path: Path):
 def _cmd_eval(args) -> int:
     test = data.load_csv(args.test)
     model = _load_any_model(args.model)
-    expected = model.p if hasattr(model, "p") else model.layer_sizes[0]
-    if test.p != expected:
+    if test.p != model.p:
         raise ValueError(
-            f"test file has {test.p} feature columns, model expects {expected}"
+            f"test file has {test.p} feature columns, model expects {model.p}"
         )
-    if isinstance(model, linear.LinearModel):
-        preds_scaled = linear.predict(model, test.features)
-    else:
-        preds_scaled, _ = neural.forward(model, test.features)
+    preds_scaled = learners.predict(model, test.features)
     record = test.scaling
     preds = record.unscale_target(preds_scaled) if record else np.asarray(preds_scaled)
 

@@ -25,7 +25,7 @@ from .data import (
     split_chronological,
     with_q_star,
 )
-from .learners import LEARNER_KINDS, fit_learner
+from .learners import LEARNER_KINDS, fit_learner, loss_for
 from .metrics import (
     evaluate_predictions,
     savings_percent,
@@ -132,6 +132,10 @@ def run_experiment(
         }
         plan = CVPlan(folds=config.cv_folds, seed=seed, budget=config.tuning_budget)
         stage1_cache: dict = {}
+        # A fit depends on the ratio only through its training loss, so an
+        # alpha-free learner (*-MSE) with the same hyperparameters is fitted
+        # once per seed and reused at every ratio.
+        fits: dict = {}
 
         for algorithm in config.algorithms:
             try:
@@ -150,9 +154,15 @@ def run_experiment(
 
             for alpha in config.alphas:
                 try:
-                    fitted = fit_learner(
-                        algorithm, train_s, alpha, tuned[alpha], seed=seed
+                    hp = tuned[alpha]
+                    key = (
+                        algorithm,
+                        loss_for(algorithm, alpha, hp.get("eps1", 0.0), hp.get("eps2", 0.0)),
+                        json.dumps(hp, sort_keys=True),
                     )
+                    if key not in fits:
+                        fits[key] = fit_learner(algorithm, train_s, alpha, hp, seed=seed)
+                    fitted = fits[key]
                     preds = record.unscale_target(fitted.predict(test_s.features))
                     report = evaluate_predictions(
                         tests_with_q[alpha], preds, alpha, fitted.fit_seconds

@@ -49,10 +49,14 @@ class FittedLearner:
     trace: TrainTrace | None
 
     def predict(self, features) -> np.ndarray:
-        if isinstance(self.model, linear.LinearModel):
-            return linear.predict(self.model, features)
-        y, _ = neural.forward(self.model, features)
-        return y
+        return predict(self.model, features)
+
+
+def predict(model, features) -> float | np.ndarray:
+    """Decisions of a linear or network model for one feature row or many."""
+    if isinstance(model, linear.LinearModel):
+        return linear.predict(model, features)
+    return neural.forward(model, features)[0]
 
 
 def loss_for(kind: str, alpha: float, eps1: float = 0.0, eps2: float = 0.0) -> LossSpec:

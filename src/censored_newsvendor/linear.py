@@ -8,7 +8,6 @@ solve of the band-insensitive loss by HiGHS, at any number of rows.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,15 +16,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .losses import EPS_NV, ConfigurationError, LossSpec, batch_loss, evaluate
-from .training import (
-    BASELINE_LOSS,
-    DivergenceError,
-    EarlyStopper,
-    TrainConfig,
-    TrainTrace,
-    batches,
-    train_val_split,
-)
+from .training import TrainConfig, TrainTrace, descend
 
 
 @dataclass
@@ -61,64 +52,24 @@ def fit_gd(
     """Mini-batch subgradient descent from theta = 0.
 
     Updates theta <- theta - (eta/batch) sum_i dL_i/dtheta, plus the
-    2*l2*theta decay term (intercept exempt) when config.l2 > 0.  Returns the
-    best-validation snapshot, not the last iterate.
+    2*l2*theta decay term (intercept exempt) when config.l2 > 0, over a batch
+    order redrawn every epoch.  Returns the best-validation snapshot, not the
+    last iterate.
     """
     X = np.asarray(dataset.features, dtype=float)
     s = np.asarray(dataset.sales, dtype=float)
-    n, p = X.shape
-    if n < 2:
-        raise ValueError("need at least two rows to hold out a validation split")
+    theta = np.zeros(X.shape[1])
+    decay_mask = np.ones_like(theta)
+    decay_mask[0] = 0.0  # intercept carries no weight decay
 
-    rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = train_val_split(n, config, rng)
-    if config.batch_size > train_idx.shape[0]:
-        raise ValueError(
-            f"batch size {config.batch_size} exceeds training split size "
-            f"{train_idx.shape[0]}"
-        )
+    def gradient(Xb, sb):
+        g = np.asarray(evaluate(sb, Xb @ theta, spec).subgrad)
+        return Xb.T @ g / Xb.shape[0]
 
-    penalty_mask = np.ones(p)
-    penalty_mask[0] = 0.0  # intercept carries no weight decay
-
-    theta = np.zeros(p)
-    best_theta = theta.copy()
-    stopper = EarlyStopper(config.patience, config.tolerance)
-    trace = TrainTrace()
-    started = time.perf_counter()
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(train_idx) if config.shuffle else train_idx
-        for batch in batches(order, config.batch_size):
-            y = X[batch] @ theta
-            g = np.asarray(evaluate(s[batch], y, spec).subgrad)
-            grad = X[batch].T @ g / batch.shape[0]
-            if config.l2 > 0.0:
-                grad = grad + 2.0 * config.l2 * theta * penalty_mask
-            theta = theta - config.eta * grad
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError(f"non-finite parameters at epoch {epoch}")
-
-        train_loss = batch_loss(s[train_idx], X[train_idx] @ theta, spec)
-        val_loss = batch_loss(s[val_idx], X[val_idx] @ theta, spec)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        trace.train_loss.append(train_loss)
-        trace.val_loss.append(val_loss)
-        trace.epochs_run = epoch
-
-        if stopper.update(val_loss, epoch):
-            best_theta = theta.copy()
-        if val_loss < BASELINE_LOSS:
-            trace.stop_reason = "baseline"
-            break
-        if stopper.should_stop:
-            trace.stop_reason = "patience"
-            break
-
-    trace.best_epoch = stopper.best_epoch
-    trace.fit_seconds = time.perf_counter() - started
-    return LinearModel(best_theta), trace
+    best, trace = descend(
+        theta, lambda rows: rows @ theta, gradient, X, s, spec, config, decay_mask
+    )
+    return LinearModel(best), trace
 
 
 def fit_mse_closed_form(dataset) -> LinearModel:

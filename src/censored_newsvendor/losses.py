@@ -12,7 +12,7 @@ alpha = c_u / (c_u + c_o) is the critical ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -103,9 +103,6 @@ class LossSpec:
     @classmethod
     def replacement(cls, c1: float, c2: float, eps: float) -> "LossSpec":
         return cls(kind=EPS_RP, c1=c1, c2=c2, eps1=eps)
-
-    def with_alpha(self, alpha: float) -> "LossSpec":
-        return replace(self, alpha=alpha)
 
 
 def _pos(x):

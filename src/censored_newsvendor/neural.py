@@ -1,73 +1,88 @@
 """Small fully-connected network with sigmoid hidden layers and a linear output.
 
 Forward/backward passes are hand-rolled so any of the supported loss
-subgradients can drive the output delta.  Training is plain mini-batch SGD
-with one permutation drawn per run and reused every pass, which is also the
-premise of the parameter-stability probe; an adaptive-moment optimizer is
-available behind a flag but excluded from stability checks.
+subgradients can drive the output delta.  All parameters live in one flat
+vector with per-layer views, and training runs the descent loop shared with
+the linear learners: plain mini-batch SGD with one permutation drawn per run
+and reused every pass, which is also the premise of the parameter-stability
+probe; an adaptive-moment optimizer is available behind a flag but excluded
+from stability checks.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from .losses import LossSpec, batch_loss, evaluate
-from .training import (
-    BASELINE_LOSS,
-    DivergenceError,
-    EarlyStopper,
-    TrainConfig,
-    TrainTrace,
-    batches,
-    train_val_split,
-)
+from .losses import LossSpec, evaluate
+from .training import TrainConfig, TrainTrace, descend
 
 
-@dataclass
+def _views(layer_sizes, flat: np.ndarray) -> tuple[list, list]:
+    """Per-layer (weights, biases) views into a flat [W0, b0, W1, b1, ...]
+    vector, each W^l row-major of shape (size of layer l+1, size of layer l)."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
+def _n_params(layer_sizes) -> int:
+    pairs = zip(layer_sizes[:-1], layer_sizes[1:])
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs)
+
+
 class MLPModel:
-    """Layer sizes [p, h1, ..., 1] with per-layer weight matrices and biases.
+    """Layer sizes [p, h1, ..., 1] and one flat parameter vector.
 
-    weights[l] has shape (size of layer l+1, size of layer l); the output
-    layer is a single identity node.
+    params is laid out [W0, b0, W1, b1, ...]; weights[l] (shape (size of
+    layer l+1, size of layer l)) and biases[l] are views into it, so writing
+    through them writes the vector.  The output layer is a single identity
+    node.  The constructor copies per-layer arrays into a fresh vector;
+    from_params wraps an existing vector without copying.
     """
 
-    layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self):
-        if self.layer_sizes[-1] != 1:
-            raise ValueError("the output layer must hold exactly one node")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            expected = (self.layer_sizes[l + 1], self.layer_sizes[l])
+    def __init__(self, layer_sizes, weights, biases):
+        sizes = list(layer_sizes)
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            expected = (sizes[l + 1], sizes[l])
             if w.shape != expected:
                 raise ValueError(f"weight matrix {l} has shape {w.shape}, expected {expected}")
-            if b.shape != (self.layer_sizes[l + 1],):
+            if b.shape != (sizes[l + 1],):
                 raise ValueError(f"bias vector {l} has length {b.shape}")
+        parts = [part for w, b in zip(weights, biases) for part in (w.ravel(), b)]
+        self._bind(sizes, np.concatenate(parts, dtype=float))
+
+    @classmethod
+    def from_params(cls, layer_sizes, params: np.ndarray) -> "MLPModel":
+        model = cls.__new__(cls)
+        model._bind(list(layer_sizes), params)
+        return model
+
+    def _bind(self, layer_sizes: list[int], params: np.ndarray) -> None:
+        if layer_sizes[-1] != 1:
+            raise ValueError("the output layer must hold exactly one node")
+        if params.shape != (_n_params(layer_sizes),):
+            raise ValueError(f"layer sizes {layer_sizes} do not fit {params.shape} parameters")
+        self.layer_sizes = layer_sizes
+        self.params = params
+        self.weights, self.biases = _views(layer_sizes, params)
 
     @property
     def p(self) -> int:
         return self.layer_sizes[0]
 
     def copy(self) -> "MLPModel":
-        return MLPModel(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MLPModel.from_params(self.layer_sizes, self.params.copy())
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.params.copy()
 
 
 class BackpropState(NamedTuple):
@@ -78,6 +93,9 @@ class BackpropState(NamedTuple):
 
 
 class GradientSet(NamedTuple):
+    """Flat gradient in the model's parameter layout, plus per-layer views."""
+
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -85,12 +103,12 @@ class GradientSet(NamedTuple):
 def init_mlp(layer_sizes, seed: int = 0) -> MLPModel:
     """Symmetric uniform init with r = sqrt(6 / (fan_in + fan_out)), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    model = MLPModel.from_params(layer_sizes, np.zeros(_n_params(layer_sizes)))
+    for w in model.weights:
+        fan_out, fan_in = w.shape
         r = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MLPModel(list(layer_sizes), weights, biases)
+        w[...] = rng.uniform(-r, r, size=(fan_out, fan_in))
+    return model
 
 
 def forward(model: MLPModel, features) -> tuple[float | np.ndarray, BackpropState]:
@@ -130,48 +148,16 @@ def backward(model: MLPModel, state: BackpropState, s, spec: LossSpec) -> Gradie
         raise ValueError(f"{s_arr.shape[0]} targets for a state of {n} samples")
 
     delta = np.asarray(evaluate(s_arr, a_out[:, 0], spec).subgrad).reshape(n, 1)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    flat = np.empty_like(model.params)
+    grads = GradientSet(flat, *_views(model.layer_sizes, flat))
     for l in range(len(model.weights) - 1, -1, -1):
         a_prev = state.activations[l]
-        grads_w[l] = delta.T @ a_prev / n
-        grads_b[l] = delta.mean(axis=0)
+        grads.weights[l][...] = delta.T @ a_prev / n
+        grads.biases[l][...] = delta.mean(axis=0)
         if l > 0:
             sig_prime = a_prev * (1.0 - a_prev)
             delta = (delta @ model.weights[l]) * sig_prime
-    return GradientSet(grads_w, grads_b)
-
-
-def _sgd_step(model: MLPModel, grads: GradientSet, eta: float, l2: float) -> None:
-    for w, b, gw, gb in zip(model.weights, model.biases, grads.weights, grads.biases):
-        if l2 > 0.0:
-            gw = gw + 2.0 * l2 * w
-        w -= eta * gw
-        b -= eta * gb
-
-
-class _AdamState:
-    def __init__(self, model: MLPModel, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.t = 0
-        self.m = [np.zeros_like(w) for w in model.weights] + [
-            np.zeros_like(b) for b in model.biases
-        ]
-        self.v = [np.zeros_like(x) for x in self.m]
-
-    def step(self, model: MLPModel, grads: GradientSet, eta: float, l2: float) -> None:
-        self.t += 1
-        params = list(model.weights) + list(model.biases)
-        gs = list(grads.weights) + list(grads.biases)
-        n_w = len(model.weights)
-        for k, (p, g) in enumerate(zip(params, gs)):
-            if l2 > 0.0 and k < n_w:
-                g = g + 2.0 * l2 * p
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1**self.t)
-            v_hat = self.v[k] / (1 - self.beta2**self.t)
-            p -= eta * m_hat / (np.sqrt(v_hat) + self.eps)
+    return grads
 
 
 def fit_sgd(
@@ -183,76 +169,36 @@ def fit_sgd(
 ) -> tuple[MLPModel, TrainTrace]:
     """Mini-batch training with a per-run fixed permutation and early stopping.
 
-    arch is the full layer-size list [p, h1, h2, 1].  Stopping rules and the
-    best-validation snapshot mirror the linear trainer.
+    arch is the full layer-size list [p, h1, h2, 1].  The loop, its stopping
+    rules and the best-validation snapshot are the linear trainer's; weight
+    decay exempts the biases.
     """
-    if optimizer not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     X = np.asarray(dataset.features, dtype=float)
     s = np.asarray(dataset.sales, dtype=float)
-    n, p = X.shape
-    if list(arch)[0] != p:
-        raise ValueError(f"architecture expects {list(arch)[0]} inputs, data has {p}")
-    if n < 2:
-        raise ValueError("need at least two rows to hold out a validation split")
-
-    rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = train_val_split(n, config, rng)
-    if config.batch_size > train_idx.shape[0]:
-        raise ValueError(
-            f"batch size {config.batch_size} exceeds training split size "
-            f"{train_idx.shape[0]}"
-        )
-    # One permutation per run, reused on every pass.
-    order = rng.permutation(train_idx) if config.shuffle else train_idx
+    if list(arch)[0] != X.shape[1]:
+        raise ValueError(f"architecture expects {list(arch)[0]} inputs, data has {X.shape[1]}")
 
     model = init_mlp(list(arch), seed=config.seed)
-    best = model.copy()
-    adam = _AdamState(model) if optimizer == "adam" else None
-    stopper = EarlyStopper(config.patience, config.tolerance)
-    trace = TrainTrace()
-    started = time.perf_counter()
+    decay_mask = np.zeros_like(model.params)
+    for w in _views(model.layer_sizes, decay_mask)[0]:
+        w[...] = 1.0  # biases carry no weight decay
 
-    for epoch in range(1, config.max_epochs + 1):
-        for k, batch in enumerate(batches(order, config.batch_size)):
-            _, state = forward(model, X[batch])
-            grads = backward(model, state, s[batch], spec)
-            if adam is None:
-                _sgd_step(model, grads, config.eta, config.l2)
-            else:
-                adam.step(model, grads, config.eta, config.l2)
-            if not all(np.all(np.isfinite(w)) for w in model.weights):
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch}, batch {k}"
-                )
+    def predict(rows):
+        return forward(model, rows)[0]
 
-        train_pred, _ = forward(model, X[train_idx])
-        val_pred, _ = forward(model, X[val_idx])
-        train_loss = batch_loss(s[train_idx], train_pred, spec)
-        val_loss = batch_loss(s[val_idx], val_pred, spec)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}, batch -1")
-        trace.train_loss.append(train_loss)
-        trace.val_loss.append(val_loss)
-        trace.epochs_run = epoch
+    def gradient(Xb, sb):
+        return backward(model, forward(model, Xb)[1], sb, spec).flat
 
-        if stopper.update(val_loss, epoch):
-            best = model.copy()
-        if val_loss < BASELINE_LOSS:
-            trace.stop_reason = "baseline"
-            break
-        if stopper.should_stop:
-            trace.stop_reason = "patience"
-            break
-
-    trace.best_epoch = stopper.best_epoch
-    trace.fit_seconds = time.perf_counter() - started
-    return best, trace
+    best, trace = descend(
+        model.params, predict, gradient, X, s, spec, config, decay_mask,
+        optimizer=optimizer, reshuffle=False,
+    )
+    return MLPModel.from_params(model.layer_sizes, best), trace
 
 
 def parameter_distance(a: MLPModel, b: MLPModel) -> float:
     """Euclidean distance between two parameter vectors of identical shape."""
-    return float(np.linalg.norm(a.flatten() - b.flatten()))
+    return float(np.linalg.norm(a.params - b.params))
 
 
 def uas_bound(alpha: float, eta: float, n: int, k_passes: int) -> float:
@@ -268,8 +214,7 @@ def _plain_sgd_passes(X, s, spec, arch, eta, k_passes, seed):
     for _ in range(k_passes):
         for i in order:
             _, state = forward(model, X[i : i + 1])
-            grads = backward(model, state, s[i : i + 1], spec)
-            _sgd_step(model, grads, eta, 0.0)
+            model.params -= eta * backward(model, state, s[i : i + 1], spec).flat
     return model
 
 
@@ -309,15 +254,14 @@ def uas_probe(
     return parameter_distance(base, other)
 
 
-# Serialization: layer sizes on the first line, then each layer's weight
-# matrix in row-major order followed by its bias vector, one value per line.
+# Serialization: layer sizes on the first line, then the flat parameter
+# vector (each layer's weight matrix in row-major order followed by its bias
+# vector), one value per line.
 
 
 def to_text(model: MLPModel) -> str:
     lines = [" ".join(str(k) for k in model.layer_sizes)]
-    for w, b in zip(model.weights, model.biases):
-        lines.extend(f"{v:.17g}" for v in w.ravel())
-        lines.extend(f"{v:.17g}" for v in b)
+    lines.extend(f"{v:.17g}" for v in model.params)
     return "\n".join(lines) + "\n"
 
 
@@ -326,18 +270,10 @@ def from_text(text: str) -> MLPModel:
     if not lines:
         raise ValueError("empty network record")
     sizes = [int(tok) for tok in lines[0].split()]
-    values = [float(tok) for line in lines[1:] for tok in line.split()]
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w_count = fan_out * fan_in
-        weights.append(np.array(values[pos : pos + w_count]).reshape(fan_out, fan_in))
-        pos += w_count
-        biases.append(np.array(values[pos : pos + fan_out]))
-        pos += fan_out
-    if pos != len(values):
-        raise ValueError(f"record holds {len(values)} values, expected {pos}")
-    return MLPModel(sizes, weights, biases)
+    values = np.array([float(tok) for line in lines[1:] for tok in line.split()])
+    if values.shape[0] != _n_params(sizes):
+        raise ValueError(f"record holds {values.shape[0]} values, expected {_n_params(sizes)}")
+    return MLPModel.from_params(sizes, values)
 
 
 def save_model(model: MLPModel, path) -> None:

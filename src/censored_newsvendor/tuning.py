@@ -82,7 +82,6 @@ class CVPlan:
     """Repeated fresh 75/25 splits (not disjoint folds), seeded."""
 
     folds: int = 4
-    shuffle: bool = True
     seed: int = 0
     budget: int = 50
 
@@ -96,7 +95,7 @@ def cv_score(
     n_val = max(1, int(round(0.25 * n)))
     scores = []
     for j in range(plan.folds):
-        idx = rng.permutation(n) if plan.shuffle else np.arange(n)
+        idx = rng.permutation(n)
         val_idx, fit_idx = idx[:n_val], idx[n_val:]
         fold_train = train.take(fit_idx)
         fold_val = train.take(val_idx)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from censored_newsvendor import experiment
 from censored_newsvendor.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -37,6 +38,37 @@ class TestRunExperiment:
             assert run.rmse_q > 0
             assert 0.0 <= run.service_level <= 1.0
             assert run.abs_errors.shape == (1629,)
+
+    def test_alpha_free_learner_fitted_once_per_seed(self, monkeypatch):
+        calls = []
+        real = experiment.fit_learner
+
+        def counting(kind, *args, **kwargs):
+            calls.append(kind)
+            return real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit_learner", counting)
+        config = ExperimentConfig(
+            alphas=(0.75, 0.85), seeds=(0, 1), algorithms=("LR-MSE", "LR-NVC"),
+            tuning_budget=1, cv_folds=1,
+        )
+        result = run_experiment(config, log=QUIET)
+        assert calls.count("LR-MSE") == 2  # once per seed
+        assert calls.count("LR-NVC") == 4  # its loss depends on the ratio
+        # the reused fit places the same orders at both ratios, and its record
+        # at the second ratio matches a sweep that fits at that ratio alone
+        alone = run_experiment(
+            ExperimentConfig(alphas=(0.85,), seeds=(0, 1), algorithms=("LR-MSE",),
+                             tuning_budget=1, cv_folds=1),
+            log=QUIET,
+        )
+        for seed in config.seeds:
+            low, high = (result.run("LR-MSE", a, seed) for a in config.alphas)
+            assert low.fit_seconds == high.fit_seconds
+            assert low.service_level == high.service_level
+            fresh = alone.run("LR-MSE", 0.85, seed)
+            assert (high.nv_cost, high.rmse_q) == (fresh.nv_cost, fresh.rmse_q)
+            assert np.array_equal(high.abs_errors, fresh.abs_errors)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown algorithms"):

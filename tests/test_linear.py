@@ -15,6 +15,7 @@ from censored_newsvendor.linear import (
     training_loss,
 )
 from censored_newsvendor.losses import LossSpec, batch_loss
+from censored_newsvendor.neural import fit_sgd
 from censored_newsvendor.training import DivergenceError, TrainConfig
 
 
@@ -107,9 +108,14 @@ class TestGradientDescent:
             fit_gd(ds, LossSpec.mse(), TrainConfig(batch_size=50))
 
     def test_divergence_reports_epoch(self):
+        # both trainers run the shared descent loop and its divergence checks
         ds, _ = make_dataset(50, 2, seed=4, noise=1.0)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="epoch"):
             fit_gd(ds, LossSpec.mse(), TrainConfig(eta=1e6, batch_size=10))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="epoch"
+        ):
+            fit_sgd(ds, LossSpec.mse(), [2, 4, 3, 1], TrainConfig(eta=1e6, batch_size=10))
 
     def test_best_validation_snapshot_returned(self):
         ds, _ = make_dataset(120, 2, seed=5, noise=0.3)
