@@ -19,7 +19,14 @@ import numpy as np
 
 from . import linear, neural
 from .losses import LossSpec
-from .training import TrainConfig, TrainTrace
+from .training import (
+    DivergenceError,
+    Member,
+    TrainConfig,
+    TrainTrace,
+    batch_shape,
+    validation_size,
+)
 
 LINEAR_KINDS = ("LR-MSE", "LR-NVC", "LR-eNVC", "LR-eNVC-R")
 NEURAL_KINDS = ("NN-MSE", "NN-NVC", "NN-eNVC")
@@ -71,6 +78,20 @@ def loss_for(kind: str, alpha: float, eps1: float = 0.0, eps2: float = 0.0) -> L
     return LossSpec.nvc(alpha)
 
 
+def _plan(kind: str, n: int, p: int, alpha: float, hyperparams: dict | None, seed: int):
+    """Training loss, descent settings and network architecture (None for a
+    linear model) of a descent fit on n rows of p features."""
+    hp = {**DEFAULT_HYPERPARAMS, **(hyperparams or {})}
+    spec = loss_for(kind, alpha, hp["eps1"], hp["eps2"])
+    l2 = hp["l2"] if kind in DECAYED_KINDS else 0.0
+    eta = hp["eta"] if kind in LINEAR_KINDS else hp["nn_eta"]
+    config = TrainConfig(eta=eta, batch_size=int(hp["batch_size"]), l2=l2, seed=seed)
+    if config.batch_size > n - validation_size(n, config.val_fraction):
+        config = config.updated(batch_size=max(1, n // 2))
+    arch = None if kind in LINEAR_KINDS else (p, int(hp["units1"]), int(hp["units2"]), 1)
+    return spec, config, arch
+
+
 def fit_learner(
     kind: str,
     dataset,
@@ -85,27 +106,69 @@ def fit_learner(
     nn_optimizer="sgd" for plain constant-rate SGD (the stability probes
     call the network trainer directly and always use SGD).
     """
-    if kind not in LEARNER_KINDS:
-        raise ValueError(f"unknown learner kind {kind!r}")
-    hp = {**DEFAULT_HYPERPARAMS, **(hyperparams or {})}
-    spec = loss_for(kind, alpha, hp["eps1"], hp["eps2"])
-
     if kind == "LR-MSE":
         started = time.perf_counter()
         model = linear.fit_mse_closed_form(dataset)
         return FittedLearner(kind, model, time.perf_counter() - started, None)
-
-    l2 = hp["l2"] if kind in DECAYED_KINDS else 0.0
-    eta = hp["eta"] if kind in LINEAR_KINDS else hp["nn_eta"]
-    config = TrainConfig(
-        eta=eta, batch_size=int(hp["batch_size"]), l2=l2, seed=seed
-    )
-    if config.batch_size > dataset.n - max(1, round(config.val_fraction * dataset.n)):
-        config = config.updated(batch_size=max(1, dataset.n // 2))
-
-    if kind in LINEAR_KINDS:
+    spec, config, arch = _plan(kind, dataset.n, dataset.p, alpha, hyperparams, seed)
+    if arch is None:
         model, trace = linear.fit_gd(dataset, spec, config)
     else:
-        arch = [dataset.p, int(hp["units1"]), int(hp["units2"]), 1]
         model, trace = neural.fit_sgd(dataset, spec, arch, config, optimizer=nn_optimizer)
     return FittedLearner(kind, model, trace.fit_seconds, trace)
+
+
+class PopulationError(RuntimeError):
+    """A fit of fit_population failed: `member` is the index of the first
+    failing job and the cause is the error its own fit_learner call raises."""
+
+    def __init__(self, member: int, error: Exception):
+        super().__init__(str(error))
+        self.member = member
+
+
+def fit_population(
+    kind: str, dataset, jobs, nn_optimizer: str = "adam"
+) -> list[FittedLearner]:
+    """Fit one learner per job (rows, alpha, hyperparams, seed) on those rows of dataset.
+
+    Result j equals fit_learner(kind, dataset.take(rows), alpha, hyperparams,
+    seed, nn_optimizer) bit for bit.  Descent fits that share a batch shape
+    (architecture and training.batch_shape) train as one population through
+    training.descend, whatever their seeds, rows, learning rates, weight
+    decay and bands.  If fits fail, every job is still tried and
+    PopulationError names the first failing one.
+    """
+    failures, fitted = [], [None] * len(jobs)
+    groups: dict = {}
+    for j, (rows, alpha, hyperparams, seed) in enumerate(jobs):
+        rows = np.asarray(rows)
+        try:
+            if kind == "LR-MSE":
+                fitted[j] = fit_learner(kind, dataset.take(rows), alpha, hyperparams, seed)
+                continue
+            spec, config, arch = _plan(kind, rows.shape[0], dataset.p, alpha, hyperparams, seed)
+        except Exception as exc:  # the job's own fit_learner call raises the same
+            failures.append((j, exc))
+            continue
+        member = Member(rows, spec, config)
+        groups.setdefault((arch, batch_shape(member)), []).append((j, member))
+
+    for (arch, _), group in groups.items():
+        members = [member for _, member in group]
+        try:
+            if arch is None:
+                models, traces = linear.fit_gd_population(dataset, members)
+            else:
+                models, traces = neural.fit_sgd_population(dataset, arch, members, nn_optimizer)
+        except Exception as exc:  # errors before training concern every member alike
+            first = exc.member if isinstance(exc, DivergenceError) else 0
+            failures.append((group[first][0], exc))
+            continue
+        for (j, _), model, trace in zip(group, models, traces):
+            fitted[j] = FittedLearner(kind, model, trace.fit_seconds, trace)
+
+    if failures:
+        j, exc = min(failures, key=lambda failure: failure[0])
+        raise PopulationError(j, exc) from exc
+    return fitted

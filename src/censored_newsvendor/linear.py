@@ -15,8 +15,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .losses import EPS_NV, ConfigurationError, LossSpec, batch_loss, evaluate
-from .training import TrainConfig, TrainTrace, descend
+from .losses import EPS_NV, ConfigurationError, LossSpec, batch_loss
+from .training import Member, TrainConfig, TrainTrace, descend
 
 
 @dataclass
@@ -46,6 +46,33 @@ def predict(model: LinearModel, features) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _forward(theta: np.ndarray, Xb: np.ndarray):
+    """Decisions (k, b) of coefficient rows theta (k, p) on batches (k, b, p)."""
+    return np.matmul(Xb, theta[:, :, None])[:, :, 0], Xb
+
+
+def _backward(theta: np.ndarray, Xb: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Batch-mean gradients (k, p): each row is Xb[k].T @ dy[k] / b."""
+    return np.matmul(dy[:, None, :], Xb)[:, 0, :] / Xb.shape[1]
+
+
+def fit_gd_population(
+    dataset, members: list[Member]
+) -> tuple[list[LinearModel], list[TrainTrace]]:
+    """fit_gd of every member on its rows of dataset, trained as one population.
+
+    Each model and trace equals fit_gd(dataset.take(m.rows), m.spec,
+    m.config) bit for bit; the members must agree on training.batch_shape.
+    """
+    X = np.asarray(dataset.features, dtype=float)
+    s = np.asarray(dataset.sales, dtype=float)
+    theta = np.zeros((len(members), X.shape[1]))
+    decay_mask = np.ones(X.shape[1])
+    decay_mask[0] = 0.0  # intercept carries no weight decay
+    best, traces = descend(theta, _forward, _backward, X, s, members, decay_mask)
+    return [LinearModel(row) for row in best], traces
+
+
 def fit_gd(
     dataset, spec: LossSpec, config: TrainConfig
 ) -> tuple[LinearModel, TrainTrace]:
@@ -56,20 +83,9 @@ def fit_gd(
     order redrawn every epoch.  Returns the best-validation snapshot, not the
     last iterate.
     """
-    X = np.asarray(dataset.features, dtype=float)
-    s = np.asarray(dataset.sales, dtype=float)
-    theta = np.zeros(X.shape[1])
-    decay_mask = np.ones_like(theta)
-    decay_mask[0] = 0.0  # intercept carries no weight decay
-
-    def gradient(Xb, sb):
-        g = np.asarray(evaluate(sb, Xb @ theta, spec).subgrad)
-        return Xb.T @ g / Xb.shape[0]
-
-    best, trace = descend(
-        theta, lambda rows: rows @ theta, gradient, X, s, spec, config, decay_mask
-    )
-    return LinearModel(best), trace
+    rows = np.arange(np.asarray(dataset.sales).shape[0])
+    (model,), (trace,) = fit_gd_population(dataset, [Member(rows, spec, config)])
+    return model, trace
 
 
 def fit_mse_closed_form(dataset) -> LinearModel:

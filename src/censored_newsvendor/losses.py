@@ -119,14 +119,28 @@ def eval_eps_nv(s, y, spec: LossSpec) -> LossEval:
     """
     if spec.kind != EPS_NV:
         raise ConfigurationError(f"expected an {EPS_NV} spec, got {spec.kind}")
-    a = spec.alpha
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    value = (1.0 - a) * _pos(y - s - spec.eps1) + a * _pos(s + spec.eps2 - y)
-    subgrad = np.where(
-        y > s + spec.eps1, 1.0 - a, np.where(y < s + spec.eps2, -a, 0.0)
-    )
+    value = band_cost(s, y, spec.alpha, spec.eps1, spec.eps2)
+    subgrad = band_subgrad(y, s + spec.eps2, s + spec.eps1, spec.alpha)
     return LossEval(value[()], subgrad[()])
+
+
+def band_cost(s, y, alpha, eps1, eps2):
+    """Per-sample band-insensitive cost (eval_eps_nv's value).
+
+    alpha, eps1 and eps2 may be arrays that broadcast against s and y, so
+    one (K, 1) column each prices K models' decisions (K, n) at once; with
+    eps1 = eps2 = 0 the values are eval_nvc's.
+    """
+    return (1.0 - alpha) * _pos(y - s - eps1) + alpha * _pos(s + eps2 - y)
+
+
+def band_subgrad(y, lower, upper, alpha):
+    """Subgradient of the band cost in y, given the band edges
+    lower = s + eps2 and upper = s + eps1, which a caller may form once and
+    reuse; with eps1 = eps2 = 0 the values are eval_nvc's."""
+    return np.where(y > upper, 1.0 - alpha, np.where(y < lower, -alpha, 0.0))
 
 
 def eval_nvc(s, y, alpha: float) -> LossEval:

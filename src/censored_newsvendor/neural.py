@@ -11,6 +11,7 @@ from stability checks.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,24 +19,34 @@ import numpy as np
 from scipy.special import expit
 
 from .losses import LossSpec, evaluate
-from .training import TrainConfig, TrainTrace, descend
+from .training import Member, TrainConfig, TrainTrace, descend
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(layer_sizes: tuple) -> tuple:
+    """(weights start, biases start, biases end, fan_out, fan_in) of each layer
+    in the flat [W0, b0, W1, b1, ...] vector, computed once per layer sizes."""
+    spans, pos = [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        split = pos + fan_out * fan_in
+        spans.append((pos, split, split + fan_out, fan_out, fan_in))
+        pos = split + fan_out
+    return tuple(spans)
 
 
 def _views(layer_sizes, flat: np.ndarray) -> tuple[list, list]:
-    """Per-layer (weights, biases) views into a flat [W0, b0, W1, b1, ...]
-    vector, each W^l row-major of shape (size of layer l+1, size of layer l)."""
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
-        pos += fan_out * fan_in
-        biases.append(flat[pos : pos + fan_out])
-        pos += fan_out
+    """Per-layer (weights, biases) views into flat parameter vectors
+    [..., n_params], each W^l row-major of shape (..., size of layer l+1,
+    size of layer l); leading axes (one row per model) carry through."""
+    lead = flat.shape[:-1]
+    spans = _layout(tuple(layer_sizes))
+    weights = [flat[..., a:b].reshape(*lead, o, i) for a, b, _, o, i in spans]
+    biases = [flat[..., b:c] for _, b, c, _, _ in spans]
     return weights, biases
 
 
 def _n_params(layer_sizes) -> int:
-    pairs = zip(layer_sizes[:-1], layer_sizes[1:])
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs)
+    return _layout(tuple(layer_sizes))[-1][2]
 
 
 class MLPModel:
@@ -92,12 +103,25 @@ class BackpropState(NamedTuple):
     pre_activations: list[np.ndarray]
 
 
-class GradientSet(NamedTuple):
-    """Flat gradient in the model's parameter layout, plus per-layer views."""
+class GradientSet:
+    """Flat gradient in the model's parameter layout; weights and biases are
+    per-layer views into it, made on first use."""
 
-    flat: np.ndarray
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, layer_sizes, flat: np.ndarray):
+        self.layer_sizes = layer_sizes
+        self.flat = flat
+
+    @functools.cached_property
+    def _layers(self) -> tuple[list, list]:
+        return _views(self.layer_sizes, self.flat)
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return self._layers[0]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return self._layers[1]
 
 
 def init_mlp(layer_sizes, seed: int = 0) -> MLPModel:
@@ -111,6 +135,35 @@ def init_mlp(layer_sizes, seed: int = 0) -> MLPModel:
     return model
 
 
+def _propagate(weights, biases, a: np.ndarray) -> BackpropState:
+    """Activations of inputs a (..., b, p) through layers with weights
+    (..., out, in) and biases (..., out); a leading model axis carries through."""
+    activations, pre_activations = [a], []
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
+        pre_activations.append(z)
+        a = z if l == last else expit(z)
+        activations.append(a)
+    return BackpropState(activations, pre_activations)
+
+
+def _backprop(weights, state: BackpropState, dy: np.ndarray) -> np.ndarray:
+    """Batch-mean gradient (..., n_params), laid out like the parameters, for
+    decision subgradients dy (..., b)."""
+    delta = dy[..., None]
+    n = delta.shape[-2]
+    parts = []  # last layer first: b^L, W^L, b^{L-1}, ...
+    for l in range(len(weights) - 1, -1, -1):
+        a_prev = state.activations[l]
+        gw = delta.swapaxes(-1, -2) @ a_prev / n
+        # add.reduce / n is delta.mean, without mean's per-call overhead
+        parts += [np.add.reduce(delta, axis=-2) / n, gw.reshape(*gw.shape[:-2], -1)]
+        if l > 0:
+            delta = (delta @ weights[l]) * (a_prev * (1.0 - a_prev))
+    return np.concatenate(parts[::-1], axis=-1)
+
+
 def forward(model: MLPModel, features) -> tuple[float | np.ndarray, BackpropState]:
     """Sigmoid hidden layers, identity output; caches state for backward."""
     x = np.asarray(features, dtype=float)
@@ -120,16 +173,9 @@ def forward(model: MLPModel, features) -> tuple[float | np.ndarray, BackpropStat
         raise ValueError(
             f"feature dimension {a.shape[1]} does not match input layer {model.p}"
         )
-    activations = [a]
-    pre_activations = []
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        pre_activations.append(z)
-        a = z if l == last else expit(z)
-        activations.append(a)
-    y = a[:, 0]
-    return (float(y[0]) if single else y), BackpropState(activations, pre_activations)
+    state = _propagate(model.weights, model.biases, a)
+    y = state.activations[-1][:, 0]
+    return (float(y[0]) if single else y), state
 
 
 def backward(model: MLPModel, state: BackpropState, s, spec: LossSpec) -> GradientSet:
@@ -147,17 +193,48 @@ def backward(model: MLPModel, state: BackpropState, s, spec: LossSpec) -> Gradie
     if s_arr.shape[0] != n:
         raise ValueError(f"{s_arr.shape[0]} targets for a state of {n} samples")
 
-    delta = np.asarray(evaluate(s_arr, a_out[:, 0], spec).subgrad).reshape(n, 1)
-    flat = np.empty_like(model.params)
-    grads = GradientSet(flat, *_views(model.layer_sizes, flat))
-    for l in range(len(model.weights) - 1, -1, -1):
-        a_prev = state.activations[l]
-        grads.weights[l][...] = delta.T @ a_prev / n
-        grads.biases[l][...] = delta.mean(axis=0)
-        if l > 0:
-            sig_prime = a_prev * (1.0 - a_prev)
-            delta = (delta @ model.weights[l]) * sig_prime
-    return grads
+    dy = np.asarray(evaluate(s_arr, a_out[:, 0], spec).subgrad)
+    return GradientSet(model.layer_sizes, _backprop(model.weights, state, dy))
+
+
+def _stacked_forward(layer_sizes: tuple, P: np.ndarray, Xb: np.ndarray):
+    """Decisions (k, b) of parameter rows P (k, n_params) on batches (k, b, p)."""
+    weights, biases = _views(layer_sizes, P)
+    state = _propagate(weights, biases, Xb)
+    return state.activations[-1][..., 0], (weights, state)
+
+
+def _stacked_backward(P: np.ndarray, cache, dy: np.ndarray) -> np.ndarray:
+    """Batch-mean gradients (k, n_params) for decision subgradients dy (k, b)."""
+    return _backprop(*cache, dy)
+
+
+def fit_sgd_population(
+    dataset, arch, members: list[Member], optimizer: str = "sgd"
+) -> tuple[list[MLPModel], list[TrainTrace]]:
+    """fit_sgd of every member on its rows of dataset, trained as one population.
+
+    Each model and trace equals fit_sgd(dataset.take(m.rows), m.spec, arch,
+    m.config, optimizer) bit for bit; the members must agree on
+    training.batch_shape.
+    """
+    X = np.asarray(dataset.features, dtype=float)
+    s = np.asarray(dataset.sales, dtype=float)
+    sizes = tuple(arch)
+    if sizes[0] != X.shape[1]:
+        raise ValueError(f"architecture expects {sizes[0]} inputs, data has {X.shape[1]}")
+
+    params = np.stack([init_mlp(sizes, seed=m.config.seed).params for m in members])
+    decay_mask = np.zeros(params.shape[1])
+    for w in _views(sizes, decay_mask)[0]:
+        w[...] = 1.0  # biases carry no weight decay
+
+    best, traces = descend(
+        params, functools.partial(_stacked_forward, sizes), _stacked_backward,
+        X, s, members, decay_mask,
+        optimizer=optimizer, reshuffle=False,
+    )
+    return [MLPModel.from_params(list(sizes), row) for row in best], traces
 
 
 def fit_sgd(
@@ -173,27 +250,11 @@ def fit_sgd(
     rules and the best-validation snapshot are the linear trainer's; weight
     decay exempts the biases.
     """
-    X = np.asarray(dataset.features, dtype=float)
-    s = np.asarray(dataset.sales, dtype=float)
-    if list(arch)[0] != X.shape[1]:
-        raise ValueError(f"architecture expects {list(arch)[0]} inputs, data has {X.shape[1]}")
-
-    model = init_mlp(list(arch), seed=config.seed)
-    decay_mask = np.zeros_like(model.params)
-    for w in _views(model.layer_sizes, decay_mask)[0]:
-        w[...] = 1.0  # biases carry no weight decay
-
-    def predict(rows):
-        return forward(model, rows)[0]
-
-    def gradient(Xb, sb):
-        return backward(model, forward(model, Xb)[1], sb, spec).flat
-
-    best, trace = descend(
-        model.params, predict, gradient, X, s, spec, config, decay_mask,
-        optimizer=optimizer, reshuffle=False,
+    rows = np.arange(np.asarray(dataset.sales).shape[0])
+    (model,), (trace,) = fit_sgd_population(
+        dataset, arch, [Member(rows, spec, config)], optimizer
     )
-    return MLPModel.from_params(model.layer_sizes, best), trace
+    return model, trace
 
 
 def parameter_distance(a: MLPModel, b: MLPModel) -> float:

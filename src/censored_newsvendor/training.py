@@ -1,29 +1,46 @@
 """The mini-batch descent loop shared by the linear and network learners.
 
-`descend` trains any model whose parameters live in one flat vector: the
-caller supplies a prediction and a batch-gradient closure over that vector,
-and the loop owns the validation split, the batch order, the SGD or Adam
-update with masked weight decay, divergence checks, the per-epoch trace, the
-best-validation snapshot and the stopping rules.
+`descend` trains a population of K models at once.  Each model's parameters
+are one row of a (K, n_params) array, and each member (`Member`) fits its own
+rows of one shared panel with its own seed, and so its own validation split
+and batch order, learning rate, weight decay and band.  A batch step gathers
+every member's batch into one contiguous (K, b, p) stack, takes the loss
+subgradient of all members with one set of array operations and hands it to
+the caller's stacked backward pass.  Stacked products make one BLAS call per
+member, the same call a lone fit makes, so each member ends bit for bit where
+its K = 1 fit ends; that is why a population must never share rows across
+members in one matrix product.  Per member, the loop owns the validation
+split, the batch order, the SGD or Adam update with masked weight decay, the
+divergence checks, the per-epoch trace, the best-validation snapshot and the
+stopping rules; a member that stops leaves the population.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .losses import LossSpec, batch_loss
+from .losses import EPS_NV, NVC, LossSpec, band_cost, band_subgrad, evaluate
 
 # Training halts outright once the monitored loss drops below this floor.
 BASELINE_LOSS = 1e-6
 # Adam moment decay rates and denominator guard (Kingma & Ba defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Loss kinds that train through the band cost's stacked form (the plain
+# newsvendor cost is the band cost with eps1 = eps2 = 0).
+BAND_KINDS = (EPS_NV, NVC)
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite loss or parameter; `member` is the
+    population index of the model that diverged."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -81,104 +98,221 @@ class TrainTrace:
     stop_reason: str = "max_epochs"
 
 
+@dataclass(frozen=True)
+class Member:
+    """One model of a population: the rows of the shared panel it fits (an
+    index array), its training loss and its descent settings."""
+
+    rows: np.ndarray
+    spec: LossSpec
+    config: TrainConfig
+
+
+def batch_shape(member: Member) -> tuple:
+    """What the members of one population share: the row count, every config
+    field but seed, eta and l2, and the loss family (all band kinds count as
+    one; any other loss must be the same spec)."""
+    spec = member.spec
+    return (
+        member.rows.shape[0],
+        replace(member.config, seed=0, eta=1.0, l2=0.0),
+        "band" if spec.kind in BAND_KINDS else spec,
+    )
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
+
+
+def validation_size(n: int, val_fraction: float) -> int:
+    """Rows of n held out for validation: round(val_fraction n), at least 1
+    and at most n - 1."""
+    return min(max(int(round(val_fraction * n)), 1), n - 1)
+
+
 def train_val_split(
     n: int, config: TrainConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shuffle indices and split them into train/validation."""
     idx = rng.permutation(n)
-    n_val = int(round(config.val_fraction * n))
-    n_val = min(max(n_val, 1), n - 1)
+    n_val = validation_size(n, config.val_fraction)
     return idx[n_val:], idx[:n_val]
-
-
-def batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start : start + batch_size]
 
 
 def descend(
     params: np.ndarray,
-    predict,
-    gradient,
+    forward,
+    backward,
     X: np.ndarray,
     s: np.ndarray,
-    spec: LossSpec,
-    config: TrainConfig,
+    members: list[Member],
     decay_mask: np.ndarray,
     optimizer: str = "sgd",
     reshuffle: bool = True,
-) -> tuple[np.ndarray, TrainTrace]:
-    """Mini-batch descent on `params` in place; returns the best snapshot.
+) -> tuple[np.ndarray, list[TrainTrace]]:
+    """Mini-batch descent of a population of models over the shared panel (X, s).
 
-    predict(X) gives the model's decisions for rows X and gradient(Xb, sb)
-    the batch-mean loss gradient as a flat vector, both reading `params`.
-    With config.l2 > 0 the decay term 2 l2 params is added to the gradient
-    where decay_mask is 1.  optimizer is "sgd" (constant rate) or "adam".
-    reshuffle draws a fresh batch order every epoch; otherwise one
-    permutation is drawn per run and reused on every pass.  Returns a copy of
-    the parameters at the best validation epoch and the trace.
+    params is (K, n_params), one row per member, updated in place; each row
+    ends at its member's last iterate.  forward(P, Xb) takes parameter rows P
+    and their batches Xb stacked as (k, b, p) and returns the decisions
+    (k, b) with a cache; backward(P, cache, dy) returns the batch-mean
+    gradients (k, n_params) for decision subgradients dy.  With l2 > 0 the
+    decay term 2 l2 params is added where decay_mask is 1.  optimizer is
+    "sgd" (constant rate) or "adam".  reshuffle draws a fresh batch order
+    every epoch; otherwise one permutation is drawn per run and reused on
+    every pass.
+
+    Members must agree on batch_shape.  Returns the best-validation snapshot
+    of every member as a (K, n_params) array, and the traces.  When members
+    diverge, the DivergenceError of the lowest-index one is raised once
+    every member before it has finished; members after it stop early.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    n = X.shape[0]
+    shape = batch_shape(members[0])
+    if any(batch_shape(m) != shape for m in members):
+        raise ValueError("population members differ in row count, loss family or shared config")
+    n, config, band = shape[0], members[0].config, shape[2] == "band"
     if n < 2:
         raise ValueError("need at least two rows to hold out a validation split")
-    rng = np.random.default_rng(config.seed)
-    train_idx, val_idx = train_val_split(n, config, rng)
-    if config.batch_size > train_idx.shape[0]:
+    n_train = n - validation_size(n, config.val_fraction)
+    if config.batch_size > n_train:
         raise ValueError(
-            f"batch size {config.batch_size} exceeds training split size "
-            f"{train_idx.shape[0]}"
+            f"batch size {config.batch_size} exceeds training split size {n_train}"
         )
-    X_train, s_train = X[train_idx], s[train_idx]
-    X_val, s_val = X[val_idx], s[val_idx]
-    order = None if reshuffle else rng.permutation(train_idx)
 
+    K = len(members)
+    rngs = [np.random.default_rng(m.config.seed) for m in members]
+    splits = [train_val_split(n, m.config, rng) for m, rng in zip(members, rngs)]
+    train_rows = np.stack([m.rows[t] for m, (t, _) in zip(members, splits)])
+    val_rows = np.stack([m.rows[v] for m, (_, v) in zip(members, splits)])
+    l2 = _column([m.config.l2 for m in members])
+    # one row per member still training; a member's rows leave when it stops
+    live = SimpleNamespace(
+        ids=np.arange(K),
+        rngs=np.array(rngs, dtype=object),
+        params=params.copy(),
+        eta=_column([m.config.eta for m in members]),
+        decay=2.0 * l2 * decay_mask if np.any(l2 > 0.0) else None,
+        train_rows=train_rows,
+        val_rows=val_rows,
+        order=None if reshuffle else np.stack(
+            [rng.permutation(rows) for rng, rows in zip(rngs, train_rows)]
+        ),
+        s_train=s[train_rows],
+        s_val=s[val_rows],
+    )
+    if band:
+        live.alpha = _column([m.spec.alpha for m in members])
+        live.eps1 = _column([m.spec.eps1 for m in members])
+        live.eps2 = _column([m.spec.eps2 for m in members])
+    spec = members[0].spec
     if optimizer == "adam":
-        m, v, t = np.zeros_like(params), np.zeros_like(params), 0
+        live.m, live.v = np.zeros_like(live.params), np.zeros_like(live.params)
+    steps = 0
+
+    def batch_pass(live):
+        """One pass over every live member's training rows."""
+        nonlocal steps
+        if reshuffle:
+            order = np.stack([rng.permutation(r) for rng, r in zip(live.rngs, live.train_rows)])
+        else:
+            order = live.order
+        P, targets = live.params, s[order]
+        if band:  # the band edges of the epoch's rows, formed once for all batches
+            upper, lower = targets + live.eps1, targets + live.eps2
+        for start in range(0, n_train, config.batch_size):
+            cols = slice(start, start + config.batch_size)
+            y, cache = forward(P, X.take(order[:, cols], axis=0))
+            if band:
+                dy = band_subgrad(y, lower[:, cols], upper[:, cols], live.alpha)
+            else:
+                dy = evaluate(targets[:, cols], y, spec).subgrad
+            grad = backward(P, cache, dy)
+            if live.decay is not None:
+                grad = grad + live.decay * P
+            if optimizer == "sgd":
+                P -= live.eta * grad
+            else:
+                steps += 1
+                live.m = ADAM_BETA1 * live.m + (1 - ADAM_BETA1) * grad
+                live.v = ADAM_BETA2 * live.v + (1 - ADAM_BETA2) * grad * grad
+                P -= (
+                    live.eta * (live.m / (1 - ADAM_BETA1**steps))
+                    / (np.sqrt(live.v / (1 - ADAM_BETA2**steps)) + ADAM_EPS)
+                )
+
+    def epoch_losses(live):
+        """Mean train and validation loss of every live member.  Each member's
+        rows are gathered contiguously, as a lone fit holds them, so that the
+        products round alike."""
+        P = live.params
+        y_train, y_val = np.empty_like(live.s_train), np.empty_like(live.s_val)
+        for i in range(P.shape[0]):
+            y_train[i] = forward(P[i : i + 1], X.take(live.train_rows[i][None], axis=0))[0][0]
+            y_val[i] = forward(P[i : i + 1], X.take(live.val_rows[i][None], axis=0))[0][0]
+        if band:
+            bands = (live.alpha, live.eps1, live.eps2)
+            return (
+                band_cost(live.s_train, y_train, *bands).mean(axis=1),
+                band_cost(live.s_val, y_val, *bands).mean(axis=1),
+            )
+        return (
+            evaluate(live.s_train, y_train, spec).value.mean(axis=1),
+            evaluate(live.s_val, y_val, spec).value.mean(axis=1),
+        )
+
     best = params.copy()
-    best_loss, prev_loss, strikes = np.inf, np.inf, 0
-    trace = TrainTrace()
+    traces = [TrainTrace() for _ in members]
+    best_loss, prev_loss, strikes = np.full(K, np.inf), np.full(K, np.inf), np.zeros(K, int)
+    failure = None  # (member, message) of the lowest-index failure so far
     started = time.perf_counter()
 
     for epoch in range(1, config.max_epochs + 1):
-        epoch_order = rng.permutation(train_idx) if reshuffle else order
-        for batch in batches(epoch_order, config.batch_size):
-            grad = gradient(X[batch], s[batch])
-            if config.l2 > 0.0:
-                grad = grad + 2.0 * config.l2 * params * decay_mask
-            if optimizer == "sgd":
-                params -= config.eta * grad
-            else:
-                t += 1
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
-                params -= (
-                    config.eta * (m / (1 - ADAM_BETA1**t))
-                    / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
-                )
-        if not np.all(np.isfinite(params)):
-            raise DivergenceError(f"non-finite parameters at epoch {epoch}")
+        batch_pass(live)
+        train_losses, val_losses = epoch_losses(live)
+        P = live.params
+        finite = np.isfinite(P).all(axis=1)
 
-        train_loss = batch_loss(s_train, predict(X_train), spec)
-        val_loss = batch_loss(s_val, predict(X_val), spec)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        trace.train_loss.append(train_loss)
-        trace.val_loss.append(val_loss)
-        trace.epochs_run = epoch
+        done = np.zeros(P.shape[0], bool)
+        for i, (k, train_loss, val_loss) in enumerate(
+            zip(live.ids.tolist(), train_losses.tolist(), val_losses.tolist())
+        ):
+            if not finite[i] or not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                what = "parameters" if not finite[i] else "loss"
+                if failure is None or k < failure[0]:
+                    failure = (k, f"non-finite {what} at epoch {epoch}")
+                done[i] = True
+                continue
+            trace = traces[k]
+            trace.train_loss.append(train_loss)
+            trace.val_loss.append(val_loss)
+            trace.epochs_run = epoch
+            # a strike is an epoch that fails to beat the previous one (not the best)
+            strikes[k] = 0 if val_loss < prev_loss[k] - config.tolerance else strikes[k] + 1
+            prev_loss[k] = val_loss
+            if val_loss < best_loss[k]:
+                best_loss[k], trace.best_epoch, best[k] = val_loss, epoch, P[i]
+            if val_loss < BASELINE_LOSS:
+                trace.stop_reason, done[i] = "baseline", True
+            elif strikes[k] >= config.patience:
+                trace.stop_reason, done[i] = "patience", True
+        if failure is not None:
+            done |= live.ids >= failure[0]  # a later member cannot change the outcome
+        if epoch == config.max_epochs:
+            done[:] = True
+        if done.any():
+            elapsed = time.perf_counter() - started
+            for i in np.flatnonzero(done):
+                params[live.ids[i]] = P[i]
+                traces[live.ids[i]].fit_seconds = elapsed
+            keep = ~done
+            live = SimpleNamespace(
+                **{name: None if a is None else a[keep] for name, a in vars(live).items()}
+            )
+            if not live.ids.size:
+                break
 
-        # a strike is an epoch that fails to beat the previous one (not the best)
-        strikes = 0 if val_loss < prev_loss - config.tolerance else strikes + 1
-        prev_loss = val_loss
-        if val_loss < best_loss:
-            best_loss, trace.best_epoch, best = val_loss, epoch, params.copy()
-        if val_loss < BASELINE_LOSS:
-            trace.stop_reason = "baseline"
-            break
-        if strikes >= config.patience:
-            trace.stop_reason = "patience"
-            break
-
-    trace.fit_seconds = time.perf_counter() - started
-    return best, trace
+    if failure is not None:
+        raise DivergenceError(failure[1], member=failure[0])
+    return best, traces

@@ -6,6 +6,12 @@ Both stages score candidates by repeated 75/25 cross-validation splits of
 the training set, evaluating each candidate's own training loss on the held
 out part.  Candidates are drawn sequentially from one seeded stream, so the
 winner with a larger budget can only improve for the same seed.
+
+A search fits all its candidates x folds at once through cv_scores: fits
+that share a batch shape train as one population (training.descend), and
+stage 2 pools the searches of every ratio, so a banded learner's stage-2
+fits all train together.  Scores, winners and fold errors equal those of
+fitting each fold in turn (cv_score).
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .learners import BANDED_KINDS, LEARNER_KINDS, fit_learner, loss_for
+from .learners import (
+    BANDED_KINDS,
+    LEARNER_KINDS,
+    PopulationError,
+    fit_learner,
+    fit_population,
+    loss_for,
+)
 from .losses import LossSpec, batch_loss
 
 STAGE1_ALPHA = 0.55
@@ -86,17 +99,27 @@ class CVPlan:
     budget: int = 50
 
 
+def _folds(n: int, plan: CVPlan) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The plan's splits of n rows as (fit rows, held-out rows) per fold."""
+    rng = np.random.default_rng(plan.seed)
+    n_val = max(1, int(round(0.25 * n)))
+    folds = []
+    for _ in range(plan.folds):
+        idx = rng.permutation(n)
+        folds.append((idx[n_val:], idx[:n_val]))
+    return folds
+
+
 def cv_score(
     train, learner_kind: str, spec: LossSpec, hyperparams: dict, plan: CVPlan
 ) -> float:
-    """Mean held-out loss (the spec's own loss) over the plan's splits."""
-    rng = np.random.default_rng(plan.seed)
-    n = train.n
-    n_val = max(1, int(round(0.25 * n)))
+    """Mean held-out loss (the spec's own loss) over the plan's splits.
+
+    Fits the folds one after another; cv_scores computes the same scores
+    with the fits trained as populations.
+    """
     scores = []
-    for j in range(plan.folds):
-        idx = rng.permutation(n)
-        val_idx, fit_idx = idx[:n_val], idx[n_val:]
+    for j, (fit_idx, val_idx) in enumerate(_folds(train.n, plan)):
         fold_train = train.take(fit_idx)
         fold_val = train.take(val_idx)
         try:
@@ -108,6 +131,31 @@ def cv_score(
         preds = fitted.predict(fold_val.features)
         scores.append(batch_loss(fold_val.sales, preds, spec))
     return float(np.mean(scores))
+
+
+def cv_scores(train, learner_kind: str, candidates) -> list[float]:
+    """cv_score of every (spec, hyperparams, plan) candidate, all fits at once.
+
+    The folds of all candidates go to learners.fit_population, which trains
+    fits that share a batch shape as one population.  Scores, and the error
+    raised when a fold fails, equal those of cv_score called per candidate in
+    order.
+    """
+    jobs, held_out = [], []  # held_out: (candidate, fold, held-out rows) per job
+    for c, (spec, hyperparams, plan) in enumerate(candidates):
+        for j, (fit_idx, val_idx) in enumerate(_folds(train.n, plan)):
+            jobs.append((fit_idx, spec.alpha, hyperparams, plan.seed + j))
+            held_out.append((c, j, val_idx))
+    try:
+        fitted = fit_population(learner_kind, train, jobs)
+    except PopulationError as exc:
+        raise RuntimeError(f"fold {held_out[exc.member][1]} failed: {exc}") from exc.__cause__
+    fold_scores = [[] for _ in candidates]
+    for (c, _, val_idx), fit in zip(held_out, fitted):
+        fold_val = train.take(val_idx)
+        preds = fit.predict(fold_val.features)
+        fold_scores[c].append(batch_loss(fold_val.sales, preds, candidates[c][0]))
+    return [float(np.mean(scores)) for scores in fold_scores]
 
 
 def search(
@@ -123,20 +171,31 @@ def search(
     `fixed` holds hyperparameters pinned from an earlier stage; they are
     merged into every candidate before scoring.
     """
-    if plan.budget < 1:
+    (result,) = _searches(train, learner_kind, space, [(spec_template, plan)], fixed)
+    return result
+
+
+def _searches(train, learner_kind, space, problems, fixed) -> list[tuple[dict, list]]:
+    """search for each (spec_template, plan) problem, with the candidates of
+    all problems scored by one cv_scores call."""
+    if any(plan.budget < 1 for _, plan in problems):
         raise ValueError("search budget must be at least 1")
-    rng = np.random.default_rng(plan.seed)
-    candidates = [space.sample(rng) for _ in range(plan.budget)]
-    table = []
-    best, best_score = None, np.inf
-    for cand in candidates:
-        merged = {**(fixed or {}), **cand}
-        spec = _apply_band(spec_template, merged)
-        score = cv_score(train, learner_kind, spec, merged, plan)
-        table.append((merged, score))
-        if score < best_score:
-            best, best_score = merged, score
-    return dict(best), table
+    drawn = []
+    for template, plan in problems:
+        rng = np.random.default_rng(plan.seed)
+        candidates = [space.sample(rng) for _ in range(plan.budget)]
+        merged = [{**(fixed or {}), **cand} for cand in candidates]
+        drawn.append([(_apply_band(template, m), m, plan) for m in merged])
+    scores = iter(cv_scores(train, learner_kind, [c for batch in drawn for c in batch]))
+    results = []
+    for batch in drawn:
+        table = [(merged, next(scores)) for _, merged, _ in batch]
+        best, best_score = None, np.inf
+        for merged, score in table:
+            if score < best_score:
+                best, best_score = merged, score
+        results.append((dict(best), table))
+    return results
 
 
 def _apply_band(spec: LossSpec, candidate: dict) -> LossSpec:
@@ -191,13 +250,11 @@ def two_stage_protocol(
     if learner_kind not in BANDED_KINDS:
         return {alpha: dict(stage1) for alpha in alphas}
 
-    tuned = {}
-    band_space = SearchSpace.band_space()
-    for k, alpha in enumerate(alphas):
-        stage2_plan = replace(plan, seed=plan.seed + 1000 * (k + 1))
-        template = LossSpec.nvc(alpha)  # band applied per candidate
-        best, _ = search(
-            train, learner_kind, template, band_space, stage2_plan, fixed=stage1
-        )
-        tuned[alpha] = best
-    return tuned
+    # one search per ratio, all scored together: every stage-2 fit of a
+    # learner shares its batch shape, so they train as one population
+    problems = [
+        (LossSpec.nvc(alpha), replace(plan, seed=plan.seed + 1000 * (k + 1)))
+        for k, alpha in enumerate(alphas)
+    ]  # band applied per candidate
+    results = _searches(train, learner_kind, SearchSpace.band_space(), problems, stage1)
+    return {alpha: best for alpha, (best, _) in zip(alphas, results)}

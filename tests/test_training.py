@@ -1,14 +1,17 @@
 """The shared descent loop against a written-out reference, and masked decay."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from censored_newsvendor import linear, neural
 from censored_newsvendor.data import Dataset
 from censored_newsvendor.linear import fit_gd
 from censored_newsvendor.losses import LossSpec, batch_loss, evaluate
-from censored_newsvendor.neural import MLPModel, backward, fit_sgd, forward, init_mlp
-from censored_newsvendor.training import TrainConfig, descend
+from censored_newsvendor.neural import MLPModel, fit_sgd, init_mlp
+from censored_newsvendor.training import DivergenceError, Member, TrainConfig, descend
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +225,24 @@ class TestMaskedDecay:
 
     ETA, L2, BATCH = 0.05, 0.01, 10
 
-    def run_one_epoch(self, params, predict, gradient, X, mask):
+    def run_one_epoch(self, params, forward, backward, X, mask):
         # band [s, s + 1] around every starting decision
-        s = predict(X) - 0.5
+        s = forward(params[None], X[None])[0][0] - 0.5
         spec = LossSpec.eps_nv(0.55, 1.0, 0.0)
         config = TrainConfig(
             eta=self.ETA, batch_size=self.BATCH, l2=self.L2, seed=0, max_epochs=1, patience=1
         )
+
+        def zero_gradient(P, cache, dy):
+            assert np.all(dy == 0.0)
+            grad = backward(P, cache, dy)
+            assert np.all(grad == 0.0)
+            return grad
+
         start = params.copy()
-        descend(params, predict, gradient, X, s, spec, config, mask)
+        member = Member(np.arange(X.shape[0]), spec, config)
+        # params[None] is a view, so the population's last iterate lands in params
+        descend(params[None], forward, zero_gradient, X, s, [member], mask)
         batches = -(-(X.shape[0] - round(config.val_fraction * X.shape[0])) // self.BATCH)
         return start, (1.0 - 2.0 * self.ETA * self.L2) ** batches
 
@@ -238,15 +250,9 @@ class TestMaskedDecay:
         rng = np.random.default_rng(0)
         X = np.hstack([np.ones((40, 1)), rng.normal(size=(40, 2))])
         theta = np.array([0.7, -0.4, 0.2])
-        spec = LossSpec.eps_nv(0.55, 1.0, 0.0)
         mask = np.array([0.0, 1.0, 1.0])
 
-        def gradient(Xb, sb):
-            g = np.asarray(evaluate(sb, Xb @ theta, spec).subgrad)
-            assert np.all(g == 0.0)
-            return Xb.T @ g / Xb.shape[0]
-
-        start, factor = self.run_one_epoch(theta, lambda rows: rows @ theta, gradient, X, mask)
+        start, factor = self.run_one_epoch(theta, linear._forward, linear._backward, X, mask)
         assert theta[0] == start[0]
         assert theta[1:] == pytest.approx(start[1:] * factor, rel=1e-13)
         assert not np.allclose(theta[1:], start[1:])
@@ -257,20 +263,141 @@ class TestMaskedDecay:
         model = init_mlp([2, 4, 3, 1], seed=2)
         for b in model.biases:
             b[...] = 0.3
-        spec = LossSpec.eps_nv(0.55, 1.0, 0.0)
         mask = MLPModel.from_params(model.layer_sizes, np.ones_like(model.params))
         for b in mask.biases:
             b[...] = 0.0
 
-        def gradient(Xb, sb):
-            flat = backward(model, forward(model, Xb)[1], sb, spec).flat
-            assert np.all(flat == 0.0)
-            return flat
-
+        sizes = tuple(model.layer_sizes)
         start, factor = self.run_one_epoch(
-            model.params, lambda rows: forward(model, rows)[0], gradient, X, mask.params
+            model.params,
+            functools.partial(neural._stacked_forward, sizes),
+            neural._stacked_backward,
+            X,
+            mask.params,
         )
         exempt = mask.params == 0.0
         assert np.array_equal(model.params[exempt], start[exempt])
         assert model.params[~exempt] == pytest.approx(start[~exempt] * factor, rel=1e-13)
         assert not np.allclose(model.params[~exempt], start[~exempt])
+
+
+# ---------------------------------------------------------------------------
+# Populations: every member must end exactly where its own K = 1 fit ends.
+
+
+def mixed_members(stop, n=150, eta_scale=1.0):
+    """Rows, seeds, rates, decay and bands differ; the stop rule is shared."""
+    settings = [  # (spec, eta, l2)
+        (LossSpec.nvc(0.7), 0.05, 0.0),
+        (LossSpec.eps_nv(0.7, 0.15, 0.02), 0.03, 2e-3),
+        (LossSpec.eps_nv(0.9, 0.3, 0.1), 0.08, 0.0),
+        (LossSpec.nvc(0.55), 0.02, 1e-3),
+        (LossSpec.eps_nv(0.95, 50.0, 0.0), 0.1, 0.0),  # the band swallows every row
+    ]
+    members = []
+    for seed, (spec, eta, l2) in enumerate(settings):
+        rows = np.random.default_rng(seed).choice(n, size=2 * n // 3, replace=False)
+        config = TrainConfig(eta=eta * eta_scale, batch_size=16, l2=l2, seed=seed, **CONFIGS[stop])
+        members.append(Member(rows, spec, config))
+    return members
+
+
+def assert_same_fit(params, trace, own_params, own_trace):
+    assert params.tobytes() == own_params.tobytes()
+    assert trace.train_loss == own_trace.train_loss
+    assert trace.val_loss == own_trace.val_loss
+    assert trace.best_epoch == own_trace.best_epoch
+    assert trace.epochs_run == own_trace.epochs_run
+    assert trace.stop_reason == own_trace.stop_reason
+
+
+def assert_mixed_stops(traces):
+    assert len({(t.epochs_run, t.stop_reason) for t in traces}) > 1
+
+
+class TestPopulation:
+    # 26 features as in the demand panel: products over rows this wide round
+    # differently when a row sits elsewhere in the matrix, which these
+    # tests must see
+
+    @pytest.mark.parametrize("stop", sorted(CONFIGS))
+    def test_linear_members_match_own_fits(self, stop):
+        ds = panel(600, 26, seed=5)
+        members = mixed_members(stop, n=600)
+        models, traces = linear.fit_gd_population(ds, members)
+        for m, model, trace in zip(members, models, traces):
+            own_model, own_trace = fit_gd(ds.take(m.rows), m.spec, m.config)
+            assert_same_fit(model.theta, trace, own_model.theta, own_trace)
+        assert_mixed_stops(traces)
+
+    def test_member_at_baseline_leaves_early(self):
+        # on three features the widest band swallows every row: that member
+        # stops on the loss floor while the others train on
+        ds = panel(150, 3, seed=5)
+        members = mixed_members("strict")
+        models, traces = linear.fit_gd_population(ds, members)
+        for m, model, trace in zip(members, models, traces):
+            own_model, own_trace = fit_gd(ds.take(m.rows), m.spec, m.config)
+            assert_same_fit(model.theta, trace, own_model.theta, own_trace)
+        assert traces[-1].stop_reason == "baseline"
+        assert traces[-1].epochs_run < max(t.epochs_run for t in traces)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("stop", sorted(CONFIGS))
+    def test_network_members_match_own_fits(self, stop, optimizer):
+        ds = panel(600, 26, seed=6)
+        arch = [26, 5, 4, 1]
+        members = mixed_members(stop, n=600, eta_scale=2.0 if optimizer == "sgd" else 0.2)
+        models, traces = neural.fit_sgd_population(ds, arch, members, optimizer)
+        for m, model, trace in zip(members, models, traces):
+            own_model, own_trace = fit_sgd(ds.take(m.rows), m.spec, arch, m.config, optimizer)
+            assert_same_fit(model.params, trace, own_model.params, own_trace)
+        assert_mixed_stops(traces)
+
+    @staticmethod
+    def mse_members(etas):
+        members = []
+        for seed, eta in enumerate(etas):
+            rows = np.random.default_rng(seed).choice(150, size=100, replace=False)
+            config = TrainConfig(eta=eta, batch_size=16, seed=seed, **CONFIGS["strict"])
+            members.append(Member(rows, LossSpec.mse(), config))
+        return members
+
+    def test_stopped_member_is_frozen(self):
+        # member 1 grows by orders of magnitude every epoch and stops on
+        # patience while still finite; trained on to the shared epoch cap it
+        # would overflow, so only a frozen member keeps the population clean
+        ds = panel(150, 3, seed=7)
+        members = self.mse_members([0.01, 1e5, 0.02])
+        with np.errstate(over="ignore", invalid="ignore"):
+            models, traces = linear.fit_gd_population(ds, members)
+            for m, model, trace in zip(members, models, traces):
+                own_model, own_trace = fit_gd(ds.take(m.rows), m.spec, m.config)
+                assert_same_fit(model.theta, trace, own_model.theta, own_trace)
+        assert traces[1].stop_reason == "patience"
+        # past its stop, member 1 overflows before the others finish
+        longest = max(t.epochs_run for t in traces)
+        unstopped = members[1].config.updated(patience=longest, max_epochs=longest)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            fit_gd(ds.take(members[1].rows), members[1].spec, unstopped)
+
+    def test_divergence_reports_first_member(self):
+        # member 3 diverges first (epoch 1), but member 1 comes first in
+        # order: its own fit's error is the one raised
+        ds = panel(150, 3, seed=7)
+        members = self.mse_members([0.01, 1e20, 0.02, 1e60])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as own:
+                fit_gd(ds.take(members[1].rows), members[1].spec, members[1].config)
+            with pytest.raises(DivergenceError) as pooled:
+                linear.fit_gd_population(ds, members)
+        assert str(pooled.value) == str(own.value)
+        assert pooled.value.member == 1
+        assert "epoch 1" not in str(own.value)
+
+    def test_members_must_share_batch_shape(self):
+        ds = panel(150, 3, seed=5)
+        members = mixed_members("coarse")
+        members[2] = Member(members[2].rows, members[2].spec, members[2].config.updated(batch_size=17))
+        with pytest.raises(ValueError, match="population members differ"):
+            linear.fit_gd_population(ds, members)

@@ -8,7 +8,9 @@ from censored_newsvendor.losses import LossSpec
 from censored_newsvendor.tuning import (
     CVPlan,
     SearchSpace,
+    _folds,
     cv_score,
+    cv_scores,
     search,
     two_stage_protocol,
 )
@@ -149,3 +151,96 @@ class TestTwoStage:
     def test_empty_alpha_list_rejected(self, small_train):
         with pytest.raises(ValueError):
             two_stage_protocol(small_train, "LR-NVC", ())
+
+
+# ---------------------------------------------------------------------------
+# Pooled scoring against a sequential reference: one cv_score call per
+# candidate, the candidates drawn and merged as the protocol documents.
+
+
+def sequential_search(train, kind, template, space, plan, fixed=None):
+    rng = np.random.default_rng(plan.seed)
+    candidates = [space.sample(rng) for _ in range(plan.budget)]
+    table = []
+    for cand in candidates:
+        merged = {**(fixed or {}), **cand}
+        spec = template
+        if "eps1" in merged:
+            spec = (
+                LossSpec.eps_nv(template.alpha, merged["eps1"], merged["eps2"])
+                if merged["eps1"] > 0.0 else LossSpec.nvc(template.alpha)
+            )
+        table.append((merged, cv_score(train, kind, spec, merged, plan)))
+    best = min(table, key=lambda row: row[1])[0]  # the first of equal scores
+    return dict(best), table
+
+
+def sequential_protocol(train, kind, alphas, plan):
+    space = SearchSpace.model_space(kind)
+    stage1, _ = sequential_search(train, kind, LossSpec.nvc(0.55), space, plan)
+    return {
+        alpha: sequential_search(
+            train, kind, LossSpec.nvc(alpha), SearchSpace.band_space(),
+            CVPlan(plan.folds, plan.seed + 1000 * (k + 1), plan.budget), fixed=stage1,
+        )[0]
+        for k, alpha in enumerate(alphas)
+    }
+
+
+def assert_same_search(result, reference):
+    (best, table), (ref_best, ref_table) = result, reference
+    assert best == ref_best
+    assert [c for c, _ in table] == [c for c, _ in ref_table]
+    assert np.array([s for _, s in table]).tobytes() == np.array([s for _, s in ref_table]).tobytes()
+
+
+# candidates draw different batch sizes, so each trains in a population of its own folds
+SPREAD_BATCHES = SearchSpace(
+    {"eta": ("uniform", 0.01, 0.03), "batch_size": ("int", 10, 40), "l2": ("uniform", 0.0, 1e-3)}
+)
+
+
+class TestPooledScoring:
+    PLAN = CVPlan(folds=2, seed=13, budget=3)
+
+    @pytest.mark.parametrize("kind", ["LR-eNVC-R", "NN-eNVC"])
+    def test_band_search_matches_sequential(self, small_train, kind):
+        fixed = {"eta": 0.02, "batch_size": 30, "l2": 5e-4, "units1": 4, "units2": 3}
+        for alpha in (0.6, 0.9):
+            args = (small_train, kind, LossSpec.nvc(alpha), SearchSpace.band_space(), self.PLAN)
+            assert_same_search(search(*args, fixed=fixed), sequential_search(*args, fixed=fixed))
+
+    def test_groups_of_one_match_sequential(self, small_train):
+        args = (small_train, "LR-eNVC-R", LossSpec.nvc(0.55), SPREAD_BATCHES, self.PLAN)
+        result = search(*args)
+        assert len({c["batch_size"] for c, _ in result[1]}) == self.PLAN.budget
+        assert_same_search(result, sequential_search(*args))
+
+    @pytest.mark.parametrize("kind", ["LR-eNVC-R", "NN-eNVC"])
+    def test_protocol_matches_sequential(self, small_train, kind):
+        alphas = (0.6, 0.9)
+        tuned = two_stage_protocol(small_train, kind, alphas, self.PLAN)
+        assert tuned == sequential_protocol(small_train, kind, alphas, self.PLAN)
+
+    def test_failure_names_the_sequential_fold(self, small_train):
+        # a NaN sale held out by fold 0 but fitted by fold 1 fails fold 1 of
+        # every candidate during training; the last candidate fails sooner,
+        # in fold 0 before any training; the pooled path must report the
+        # failure the sequential path meets first
+        plan = CVPlan(folds=2, seed=14, budget=3)
+        (_, held_out_0), (fit_1, _) = _folds(small_train.n, plan)
+        row = np.intersect1d(held_out_0, fit_1)[0]
+        sales = small_train.sales.copy()
+        sales[row] = np.nan
+        poisoned = Dataset(small_train.features, sales)
+        candidates = [
+            (LossSpec.nvc(0.6), {"eta": 0.02, "batch_size": b}, plan) for b in (20, 30, 20, 0)
+        ]
+        with pytest.raises(RuntimeError) as sequential:
+            for spec, hp, p in candidates:
+                cv_score(poisoned, "LR-NVC", spec, hp, p)
+        with pytest.raises(RuntimeError) as pooled:
+            cv_scores(poisoned, "LR-NVC", candidates)
+        assert str(sequential.value).startswith("fold 1 failed: ")
+        assert str(pooled.value) == str(sequential.value)
+        assert type(pooled.value.__cause__) is type(sequential.value.__cause__)
