@@ -32,6 +32,6 @@ print("GD path     theta:", np.round(descent.theta, 4))
 train_idx, _ = train_val_split(n, config, np.random.default_rng(config.seed))
 sub = dataset.take(train_idx)
 lp_on_split = training_loss(fit_lp(sub, spec), sub, spec)
-print("GD final training loss:", f"{trace.train_loss[-1]:.6f}")
+print("GD final training loss:", f"{trace.train_loss:.6f}")
 print("LP optimum, same split:", f"{lp_on_split:.6f}")
-print("relative excess       :", f"{trace.train_loss[-1] / lp_on_split - 1:.2e}")
+print("relative excess       :", f"{trace.train_loss / lp_on_split - 1:.2e}")

@@ -104,7 +104,7 @@ def fit_learner(
 
     Network fits default to the adaptive-moment optimizer; pass
     nn_optimizer="sgd" for plain constant-rate SGD (the stability probes
-    call the network trainer directly and always use SGD).
+    train through neural.swap_distances, with single-sample SGD).
     """
     if kind == "LR-MSE":
         started = time.perf_counter()

@@ -9,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import rankdata
+from scipy.stats import rankdata, wilcoxon
 
 
 @dataclass
@@ -104,7 +103,7 @@ def wilcoxon_paired(a, b) -> WilcoxonResult:
     Zero differences are dropped, tied magnitudes get average ranks, and the
     statistic is min(W+, W-).  Small samples (up to 25 nonzero differences)
     are tested exactly against the conditional permutation distribution;
-    larger ones use the normal approximation with tie and continuity
+    larger ones use scipy's normal approximation with tie and continuity
     corrections.  The quartile fields describe all differences, zeros
     included.
     """
@@ -137,14 +136,7 @@ def wilcoxon_paired(a, b) -> WilcoxonResult:
         p_ge = counts[w2:].sum() / denom
         p = min(1.0, 2.0 * min(p_le, p_ge))
     else:
-        mu = n * (n + 1) / 4.0
-        var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(ranks, return_counts=True)
-        var -= (tie_counts**3 - tie_counts).sum() / 48.0
-        sd = np.sqrt(var)
-        # continuity correction pulls the statistic half a step toward the mean
-        z = (statistic - mu + 0.5) / sd
-        p = min(1.0, 2.0 * float(ndtr(z)))
+        p = float(wilcoxon(nz, correction=True, method="approx").pvalue)
 
     return WilcoxonResult(statistic, p, med, q1, q3, n)
 

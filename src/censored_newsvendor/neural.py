@@ -2,11 +2,11 @@
 
 Forward/backward passes are hand-rolled so any of the supported loss
 subgradients can drive the output delta.  All parameters live in one flat
-vector with per-layer views, and training runs the descent loop shared with
+vector with per-layer views, and every fit runs the descent loop shared with
 the linear learners: plain mini-batch SGD with one permutation drawn per run
-and reused every pass, which is also the premise of the parameter-stability
-probe; an adaptive-moment optimizer is available behind a flag but excluded
-from stability checks.
+and reused every pass, or an adaptive-moment optimizer behind a flag.  The
+one-row-swap stability probe is that loop too, with no hold-out and one
+sample per batch: the base run and its swapped runs train as one population.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
+from .data import Dataset
 from .losses import LossSpec, evaluate
 from .training import Member, TrainConfig, TrainTrace, descend
 
@@ -88,12 +89,6 @@ class MLPModel:
     @property
     def p(self) -> int:
         return self.layer_sizes[0]
-
-    def copy(self) -> "MLPModel":
-        return MLPModel.from_params(self.layer_sizes, self.params.copy())
-
-    def flatten(self) -> np.ndarray:
-        return self.params.copy()
 
 
 class BackpropState(NamedTuple):
@@ -268,15 +263,31 @@ def uas_bound(alpha: float, eta: float, n: int, k_passes: int) -> float:
     return 2.0 * peak * (eta * np.sqrt(n * k_passes) + 2.0 * eta * k_passes)
 
 
-def _plain_sgd_passes(X, s, spec, arch, eta, k_passes, seed):
-    """Single-sample SGD for exactly k passes over a fixed permutation."""
-    model = init_mlp(list(arch), seed=seed)
-    order = np.random.default_rng(seed).permutation(X.shape[0])
-    for _ in range(k_passes):
-        for i in order:
-            _, state = forward(model, X[i : i + 1])
-            model.params -= eta * backward(model, state, s[i : i + 1], spec).flat
-    return model
+def swap_distances(dataset, spec: LossSpec, arch, eta: float, seed: int, k_passes: int, swaps):
+    """Parameter distances between the run on dataset and, per swap
+    (index, features, sale), the run on dataset with that row replaced.
+
+    Every run is single-sample SGD at rate eta from seed for exactly
+    k_passes passes with no hold-out, so all share the initialization and
+    the permutation.  They train as one population: the fresh rows are
+    appended to the panel, and member j + 1 fits the base rows with swap j's
+    index pointed at its fresh row.
+    """
+    n = len(dataset.sales)
+    rows = np.tile(np.arange(n), (1 + len(swaps), 1))
+    for j, (index, _, _) in enumerate(swaps, start=1):
+        if not 0 <= index < n:
+            raise IndexError(f"swap index {index} outside dataset of {n} rows")
+        rows[j, index] = n + j - 1
+    panel = Dataset(
+        np.vstack([dataset.features] + [row for _, row, _ in swaps]),
+        np.concatenate([dataset.sales, [sale for _, _, sale in swaps]]),
+    )
+    plain = TrainConfig(
+        eta=eta, batch_size=1, max_epochs=k_passes, val_fraction=0.0, patience=k_passes, seed=seed
+    )
+    models, _ = fit_sgd_population(panel, arch, [Member(r, spec, plain) for r in rows])
+    return [parameter_distance(models[0], other) for other in models[1:]]
 
 
 def uas_probe(
@@ -288,31 +299,17 @@ def uas_probe(
     k_passes: int,
     replacement=None,
 ) -> float:
-    """Parameter distance between runs on S and on S with one row replaced.
-
-    Both runs share the initialization, the sample permutation, and a
-    constant learning rate; training is single-sample SGD for exactly
-    k_passes passes with no validation split.  replacement is the fresh
-    (features, sale) row; None leaves the dataset unchanged, in which case
-    the distance is exactly zero.
+    """Parameter distance between runs on S and on S with one row replaced
+    by replacement, the fresh (features, sale) row, trained as in
+    swap_distances at config's eta and seed (no other field is read).  None
+    leaves the dataset unchanged, in which case the distance is exactly zero.
     """
-    X = np.asarray(dataset.features, dtype=float)
-    s = np.asarray(dataset.sales, dtype=float)
-    n = X.shape[0]
-    if not 0 <= swap_index < n:
-        raise IndexError(f"swap index {swap_index} outside dataset of {n} rows")
-
-    X_swapped, s_swapped = X.copy(), s.copy()
-    if replacement is not None:
-        row, sale = replacement
-        X_swapped[swap_index] = np.asarray(row, dtype=float)
-        s_swapped[swap_index] = float(sale)
-
-    base = _plain_sgd_passes(X, s, spec, arch, config.eta, k_passes, config.seed)
-    other = _plain_sgd_passes(
-        X_swapped, s_swapped, spec, arch, config.eta, k_passes, config.seed
+    if replacement is None:  # swap the row for itself
+        replacement = (dataset.features[swap_index], dataset.sales[swap_index])
+    (distance,) = swap_distances(
+        dataset, spec, arch, config.eta, config.seed, k_passes, [(swap_index, *replacement)]
     )
-    return parameter_distance(base, other)
+    return distance
 
 
 # Serialization: layer sizes on the first line, then the flat parameter

@@ -16,8 +16,7 @@ import numpy as np
 from .data import Dataset
 from .linear import fit_lp, predict
 from .losses import LossSpec, evaluate
-from .neural import uas_bound, uas_probe
-from .training import TrainConfig
+from .neural import swap_distances, uas_bound
 
 
 def stability_parameter(
@@ -153,18 +152,16 @@ def uas_probe_sweep(
     """One-row-swap parameter distances for several swap positions.
 
     Replacement rows are fresh draws from the same recipe as
-    random_band_dataset."""
+    random_band_dataset.  The base run and every swapped run train together
+    as one population (neural.swap_distances)."""
     rng = np.random.default_rng(seed + 77_000)
-    config = TrainConfig(eta=eta, batch_size=1, seed=seed)
-    bound = uas_bound(spec.alpha, eta, dataset.n, k_passes)
-    results = []
+    swaps = []
     for idx in swap_indices:
         row = np.concatenate([[1.0], rng.uniform(0.0, 1.0, dataset.p - 1)])
-        sale = float(rng.uniform(0.0, 1.0))
-        dist = uas_probe(
-            dataset, spec, arch, config, int(idx), k_passes, replacement=(row, sale)
-        )
-        results.append(
-            UasProbeResult(dataset.n, k_passes, eta, int(idx), dist, bound)
-        )
-    return results
+        swaps.append((int(idx), row, float(rng.uniform(0.0, 1.0))))
+    distances = swap_distances(dataset, spec, arch, eta, seed, k_passes, swaps)
+    bound = uas_bound(spec.alpha, eta, dataset.n, k_passes)
+    return [
+        UasProbeResult(dataset.n, k_passes, eta, idx, dist, bound)
+        for (idx, _, _), dist in zip(swaps, distances)
+    ]

@@ -1,4 +1,6 @@
-"""The mini-batch descent loop shared by the linear and network learners.
+"""The mini-batch descent loop: the only code that updates model parameters,
+shared by the linear learners, the network learners and the network's
+one-row-swap stability probe.
 
 `descend` trains a population of K models at once.  Each model's parameters
 are one row of a (K, n_params) array, and each member (`Member`) fits its own
@@ -12,7 +14,9 @@ its K = 1 fit ends; that is why a population must never share rows across
 members in one matrix product.  Per member, the loop owns the validation
 split, the batch order, the SGD or Adam update with masked weight decay, the
 divergence checks, the per-epoch trace, the best-validation snapshot and the
-stopping rules; a member that stops leaves the population.
+stopping rules; a member that stops leaves the population.  Each epoch prices
+only the validation rows, which is all the stop rules read; a member's
+training split is priced once, on its last iterate, when it leaves.
 """
 
 from __future__ import annotations
@@ -54,7 +58,10 @@ class TrainConfig:
     below the *previous* epoch's by more than `tolerance` (any such drop
     resets the count, whether or not it beats the best epoch), or once the
     validation loss falls below BASELINE_LOSS.  The best-validation snapshot
-    is what gets returned.
+    is what gets returned.  val_fraction = 0 holds nothing out: the batch
+    order is a permutation of all rows in their given order, no stop rule
+    can fire, every one of max_epochs passes runs and the last iterate is
+    returned (the fixed-permutation SGD of the stability probes).
     """
 
     eta: float = 0.015
@@ -71,9 +78,9 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.eta}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.val_fraction < 1.0:
+        if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(
-                f"validation fraction must lie in (0, 1), got {self.val_fraction}"
+                f"validation fraction must lie in [0, 1), got {self.val_fraction}"
             )
         if self.patience > self.max_epochs:
             raise ValueError(
@@ -88,9 +95,11 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch train/validation losses plus wall-clock fitting time."""
+    """Per-epoch validation losses (none without a hold-out), the mean
+    training loss of the last iterate, priced once when the fit ends, and
+    wall-clock fitting time."""
 
-    train_loss: list[float] = field(default_factory=list)
+    train_loss: float = float("nan")
     val_loss: list[float] = field(default_factory=list)
     fit_seconds: float = 0.0
     best_epoch: int = 0
@@ -125,17 +134,18 @@ def _column(values) -> np.ndarray:
 
 
 def validation_size(n: int, val_fraction: float) -> int:
-    """Rows of n held out for validation: round(val_fraction n), at least 1
-    and at most n - 1."""
-    return min(max(int(round(val_fraction * n)), 1), n - 1)
+    """Rows of n held out for validation: none when val_fraction is 0, else
+    round(val_fraction n), at least 1 and at most n - 1."""
+    return min(max(int(round(val_fraction * n)), 1), n - 1) if val_fraction else 0
 
 
 def train_val_split(
     n: int, config: TrainConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffle indices and split them into train/validation."""
-    idx = rng.permutation(n)
+    """Shuffle indices and split them into train/validation.  Without a
+    hold-out every row trains, in order, and rng is left untouched."""
     n_val = validation_size(n, config.val_fraction)
+    idx = rng.permutation(n) if n_val else np.arange(n)
     return idx[n_val:], idx[:n_val]
 
 
@@ -163,9 +173,10 @@ def descend(
     every pass.
 
     Members must agree on batch_shape.  Returns the best-validation snapshot
-    of every member as a (K, n_params) array, and the traces.  When members
-    diverge, the DivergenceError of the lowest-index one is raised once
-    every member before it has finished; members after it stop early.
+    (without a hold-out, the last iterate) of every member as a (K, n_params)
+    array, and the traces.  When members diverge, the DivergenceError of the
+    lowest-index one is raised once every member before it has finished;
+    members after it stop early.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -173,7 +184,7 @@ def descend(
     if any(batch_shape(m) != shape for m in members):
         raise ValueError("population members differ in row count, loss family or shared config")
     n, config, band = shape[0], members[0].config, shape[2] == "band"
-    if n < 2:
+    if config.val_fraction and n < 2:
         raise ValueError("need at least two rows to hold out a validation split")
     n_train = n - validation_size(n, config.val_fraction)
     if config.batch_size > n_train:
@@ -186,6 +197,7 @@ def descend(
     splits = [train_val_split(n, m.config, rng) for m, rng in zip(members, rngs)]
     train_rows = np.stack([m.rows[t] for m, (t, _) in zip(members, splits)])
     val_rows = np.stack([m.rows[v] for m, (_, v) in zip(members, splits)])
+    held_out = val_rows.shape[1] > 0
     l2 = _column([m.config.l2 for m in members])
     # one row per member still training; a member's rows leave when it stops
     live = SimpleNamespace(
@@ -242,24 +254,22 @@ def descend(
                     / (np.sqrt(live.v / (1 - ADAM_BETA2**steps)) + ADAM_EPS)
                 )
 
-    def epoch_losses(live):
-        """Mean train and validation loss of every live member.  Each member's
-        rows are gathered contiguously, as a lone fit holds them, so that the
-        products round alike."""
-        P = live.params
-        y_train, y_val = np.empty_like(live.s_train), np.empty_like(live.s_val)
-        for i in range(P.shape[0]):
-            y_train[i] = forward(P[i : i + 1], X.take(live.train_rows[i][None], axis=0))[0][0]
-            y_val[i] = forward(P[i : i + 1], X.take(live.val_rows[i][None], axis=0))[0][0]
+    def mean_loss(live, rows, targets) -> list[float]:
+        """Mean loss of every live member on its rows (k, m), whose targets
+        are (k, m).  Each member's rows are gathered contiguously, as a lone
+        fit holds them, so that the products round alike."""
+        y = np.empty_like(targets)
+        for i in range(y.shape[0]):
+            y[i] = forward(live.params[i : i + 1], X.take(rows[i][None], axis=0))[0][0]
         if band:
-            bands = (live.alpha, live.eps1, live.eps2)
-            return (
-                band_cost(live.s_train, y_train, *bands).mean(axis=1),
-                band_cost(live.s_val, y_val, *bands).mean(axis=1),
-            )
-        return (
-            evaluate(live.s_train, y_train, spec).value.mean(axis=1),
-            evaluate(live.s_val, y_val, spec).value.mean(axis=1),
+            loss = band_cost(targets, y, live.alpha, live.eps1, live.eps2)
+        else:
+            loss = evaluate(targets, y, spec).value
+        return loss.mean(axis=1).tolist()
+
+    def subset(live, keep):
+        return SimpleNamespace(
+            **{name: None if a is None else a[keep] for name, a in vars(live).items()}
         )
 
     best = params.copy()
@@ -270,24 +280,24 @@ def descend(
 
     for epoch in range(1, config.max_epochs + 1):
         batch_pass(live)
-        train_losses, val_losses = epoch_losses(live)
         P = live.params
         finite = np.isfinite(P).all(axis=1)
+        val_losses = mean_loss(live, live.val_rows, live.s_val) if held_out else [0.0] * len(P)
 
         done = np.zeros(P.shape[0], bool)
-        for i, (k, train_loss, val_loss) in enumerate(
-            zip(live.ids.tolist(), train_losses.tolist(), val_losses.tolist())
-        ):
-            if not finite[i] or not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        for i, (k, val_loss) in enumerate(zip(live.ids.tolist(), val_losses)):
+            if not finite[i] or not np.isfinite(val_loss):
                 what = "parameters" if not finite[i] else "loss"
                 if failure is None or k < failure[0]:
                     failure = (k, f"non-finite {what} at epoch {epoch}")
                 done[i] = True
                 continue
             trace = traces[k]
-            trace.train_loss.append(train_loss)
-            trace.val_loss.append(val_loss)
             trace.epochs_run = epoch
+            if not held_out:  # no stop rule can fire; the last iterate is returned
+                trace.best_epoch, best[k] = epoch, P[i]
+                continue
+            trace.val_loss.append(val_loss)
             # a strike is an epoch that fails to beat the previous one (not the best)
             strikes[k] = 0 if val_loss < prev_loss[k] - config.tolerance else strikes[k] + 1
             prev_loss[k] = val_loss
@@ -302,14 +312,13 @@ def descend(
         if epoch == config.max_epochs:
             done[:] = True
         if done.any():
+            leaving = subset(live, done)
+            train_losses = mean_loss(leaving, leaving.train_rows, leaving.s_train)
             elapsed = time.perf_counter() - started
-            for i in np.flatnonzero(done):
-                params[live.ids[i]] = P[i]
-                traces[live.ids[i]].fit_seconds = elapsed
-            keep = ~done
-            live = SimpleNamespace(
-                **{name: None if a is None else a[keep] for name, a in vars(live).items()}
-            )
+            for i, k in enumerate(leaving.ids.tolist()):
+                params[k], traces[k].train_loss = leaving.params[i], train_losses[i]
+                traces[k].fit_seconds = elapsed
+            live = subset(live, ~done)
             if not live.ids.size:
                 break
 

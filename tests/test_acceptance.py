@@ -188,7 +188,7 @@ def test_criterion_02_lp_gd_equivalence():
         sub = ds.take(train_idx)
         lp_loss = training_loss(fit_lp(sub, spec), sub, spec)
         _, trace = fit_gd(ds, spec, config)
-        worst_rel = max(worst_rel, trace.train_loss[-1] / lp_loss - 1.0)
+        worst_rel = max(worst_rel, trace.train_loss / lp_loss - 1.0)
 
     worst_gap = 0.0
     for trial in range(10):

@@ -99,8 +99,8 @@ class TestGradientDescent:
             sub = ds.take(train_idx)
             lp_loss = training_loss(fit_lp(sub, spec), sub, spec)
             _, trace = fit_gd(ds, spec, config)
-            assert trace.train_loss[-1] <= lp_loss * 1.01 + 1e-12, f"trial {trial}"
-            assert trace.train_loss[-1] >= lp_loss - 1e-9  # LP is the exact minimizer
+            assert trace.train_loss <= lp_loss * 1.01 + 1e-12, f"trial {trial}"
+            assert trace.train_loss >= lp_loss - 1e-9  # LP is the exact minimizer
 
     def test_batch_size_cap(self):
         ds, _ = make_dataset(20, 2, seed=0)

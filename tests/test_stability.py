@@ -15,6 +15,7 @@ from censored_newsvendor.stability import (
     stability_parameter,
     uas_probe_sweep,
 )
+from censored_newsvendor.training import TrainConfig
 
 # The one-row-swap probe has an order-of-magnitude margin at any ratio; the
 # leave-one-out bound's constant is tightest near 1/2, so that guarantee is
@@ -103,7 +104,7 @@ class TestGeneralizationGap:
         # constant, on subsequent runs at larger sizes: that is the uniform-c
         # content of the guarantee (the bracket loosens with n while true
         # gaps shrink)
-        from censored_newsvendor.neural import _plain_sgd_passes, forward
+        from censored_newsvendor.neural import fit_sgd, forward
 
         eta, k_passes, rho = 5e-3, 3, 0.05
         coefs = np.array([0.2, 0.3, 0.2])
@@ -111,9 +112,12 @@ class TestGeneralizationGap:
         def gap_for(seed, n):
             pool = random_band_dataset(n + 2000, 3, seed=seed, coefs=coefs)
             train, test = pool.take(np.arange(n)), pool.take(np.arange(n, n + 2000))
-            model = _plain_sgd_passes(
-                train.features, train.sales, UAS_SPEC, [3, 4, 3, 1], eta, k_passes, seed
+            # single-sample SGD for exactly k passes over one fixed permutation
+            config = TrainConfig(
+                eta=eta, batch_size=1, max_epochs=k_passes, patience=k_passes,
+                val_fraction=0.0, seed=seed,
             )
+            model, _ = fit_sgd(train, UAS_SPEC, [3, 4, 3, 1], config)
             train_loss = batch_loss(train.sales, forward(model, train.features)[0], UAS_SPEC)
             test_loss = batch_loss(test.sales, forward(model, test.features)[0], UAS_SPEC)
             return abs(test_loss - train_loss)

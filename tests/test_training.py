@@ -1,4 +1,5 @@
-"""The shared descent loop against a written-out reference, and masked decay."""
+"""The shared descent loop against a written-out reference, the no-hold-out
+path of the stability probes, and masked decay."""
 
 import functools
 
@@ -10,8 +11,15 @@ from censored_newsvendor import linear, neural
 from censored_newsvendor.data import Dataset
 from censored_newsvendor.linear import fit_gd
 from censored_newsvendor.losses import LossSpec, batch_loss, evaluate
-from censored_newsvendor.neural import MLPModel, fit_sgd, init_mlp
-from censored_newsvendor.training import DivergenceError, Member, TrainConfig, descend
+from censored_newsvendor.neural import MLPModel, backward, fit_sgd, forward, init_mlp, uas_probe
+from censored_newsvendor.stability import random_band_dataset, uas_probe_sweep
+from censored_newsvendor.training import (
+    DivergenceError,
+    Member,
+    TrainConfig,
+    descend,
+    validation_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +161,17 @@ def ref_fit_sgd(X, s, spec, arch, config, optimizer):
     return best["flat"], trace
 
 
+def ref_plain_sgd(X, s, spec, arch, eta, k_passes, seed):
+    """Single-sample SGD for exactly k passes over one fixed permutation."""
+    model = init_mlp(list(arch), seed=seed)
+    order = np.random.default_rng(seed).permutation(X.shape[0])
+    for _ in range(k_passes):
+        for i in order:
+            _, state = forward(model, X[i : i + 1])
+            model.params -= eta * backward(model, state, s[i : i + 1], spec).flat
+    return model
+
+
 def panel(n, p, seed):
     rng = np.random.default_rng(seed)
     X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, p - 1))])
@@ -162,7 +181,7 @@ def panel(n, p, seed):
 
 def assert_same_trace(trace, ref_trace):
     train_losses, val_losses, best_epoch, reason = ref_trace
-    assert trace.train_loss == train_losses
+    assert trace.train_loss == train_losses[-1]
     assert trace.val_loss == val_losses
     assert trace.best_epoch == best_epoch
     assert trace.stop_reason == reason
@@ -216,6 +235,60 @@ class TestMatchesReference:
         flat, ref_trace = ref_fit_sgd(ds.features, ds.sales, spec, arch, config, optimizer)
         assert model.params.tobytes() == flat.tobytes()
         assert_same_trace(trace, ref_trace)
+
+
+class TestNoHoldOut:
+    """val_fraction = 0: every row trains in one fixed order, no stop rule
+    fires and the last iterate is returned, which is the probes' SGD."""
+
+    ARCH = [3, 4, 3, 1]
+    SPEC = LossSpec.eps_nv(0.55, 0.1976, 0.0022)
+
+    @pytest.mark.parametrize(
+        "spec", [SPEC, LossSpec.nvc(0.7), LossSpec.mse()], ids=["eps_nv", "nvc", "mse"]
+    )
+    def test_fit_sgd_is_single_sample_loop(self, spec):
+        ds = panel(40, 3, seed=8)
+        k = 3
+        config = TrainConfig(
+            eta=0.02, batch_size=1, max_epochs=k, patience=k, val_fraction=0.0, seed=5
+        )
+        model, trace = fit_sgd(ds, spec, self.ARCH, config)
+        ref = ref_plain_sgd(ds.features, ds.sales, spec, self.ARCH, config.eta, k, config.seed)
+        assert model.params.tobytes() == ref.params.tobytes()
+        assert trace.val_loss == []
+        assert (trace.epochs_run, trace.best_epoch, trace.stop_reason) == (k, k, "max_epochs")
+        assert trace.train_loss == batch_loss(ds.sales, forward(ref, ds.features)[0], spec)
+
+    def test_swap_sweep_is_base_and_swap_pairs(self):
+        ds = random_band_dataset(50, 3, seed=9)
+        eta, k, seed, swaps = 1e-3, 2, 4, [0, 17, 49]
+        results = uas_probe_sweep(ds, self.SPEC, self.ARCH, eta, k, swaps, seed=seed)
+        base = ref_plain_sgd(ds.features, ds.sales, self.SPEC, self.ARCH, eta, k, seed)
+        rng = np.random.default_rng(seed + 77_000)  # the sweep's replacement draws
+        for result, index in zip(results, swaps):
+            X, s = ds.features.copy(), ds.sales.copy()
+            X[index] = np.concatenate([[1.0], rng.uniform(0.0, 1.0, 2)])
+            s[index] = rng.uniform(0.0, 1.0)
+            other = ref_plain_sgd(X, s, self.SPEC, self.ARCH, eta, k, seed)
+            assert result.swap_index == index
+            assert result.distance == np.linalg.norm(base.params - other.params)
+            assert result.distance > 0.0
+
+    def test_diverging_probe_raises(self):
+        ds = random_band_dataset(20, 3, seed=2)
+        config = TrainConfig(eta=1e30, batch_size=1, seed=0)
+        replacement = (np.array([1.0, 0.5, 0.5]), 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite parameters at epoch 1"):
+                uas_probe(ds, LossSpec.mse(), self.ARCH, config, 3, 2, replacement)
+
+    def test_split_sizes(self):
+        assert [validation_size(n, 0.0) for n in (1, 2, 90)] == [0, 0, 0]
+        assert validation_size(90, 0.25) == 22
+        for fraction in (1.0, -0.1):
+            with pytest.raises(ValueError, match="validation fraction"):
+                TrainConfig(val_fraction=fraction)
 
 
 class TestMaskedDecay:
