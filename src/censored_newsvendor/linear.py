@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .losses import EPS_NV, ConfigurationError, LossSpec, batch_loss
-from .training import Member, TrainConfig, TrainTrace, descend
+from .training import Member, TrainConfig, TrainTrace, descend, raise_divergence
 
 
 @dataclass
@@ -81,10 +81,11 @@ def fit_gd(
     Updates theta <- theta - (eta/batch) sum_i dL_i/dtheta, plus the
     2*l2*theta decay term (intercept exempt) when config.l2 > 0, over a batch
     order redrawn every epoch.  Returns the best-validation snapshot, not the
-    last iterate.
+    last iterate; raises DivergenceError if training diverges.
     """
     rows = np.arange(np.asarray(dataset.sales).shape[0])
     (model,), (trace,) = fit_gd_population(dataset, [Member(rows, spec, config)])
+    raise_divergence([trace])
     return model, trace
 
 

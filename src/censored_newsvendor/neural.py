@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .data import Dataset
 from .losses import LossSpec, evaluate
-from .training import Member, TrainConfig, TrainTrace, descend
+from .training import Member, TrainConfig, TrainTrace, descend, raise_divergence
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,12 +243,13 @@ def fit_sgd(
 
     arch is the full layer-size list [p, h1, h2, 1].  The loop, its stopping
     rules and the best-validation snapshot are the linear trainer's; weight
-    decay exempts the biases.
+    decay exempts the biases.  Raises DivergenceError if training diverges.
     """
     rows = np.arange(np.asarray(dataset.sales).shape[0])
     (model,), (trace,) = fit_sgd_population(
         dataset, arch, [Member(rows, spec, config)], optimizer
     )
+    raise_divergence([trace])
     return model, trace
 
 
@@ -271,7 +272,8 @@ def swap_distances(dataset, spec: LossSpec, arch, eta: float, seed: int, k_passe
     k_passes passes with no hold-out, so all share the initialization and
     the permutation.  They train as one population: the fresh rows are
     appended to the panel, and member j + 1 fits the base rows with swap j's
-    index pointed at its fresh row.
+    index pointed at its fresh row.  If runs diverge, the first one's
+    DivergenceError is raised.
     """
     n = len(dataset.sales)
     rows = np.tile(np.arange(n), (1 + len(swaps), 1))
@@ -286,7 +288,8 @@ def swap_distances(dataset, spec: LossSpec, arch, eta: float, seed: int, k_passe
     plain = TrainConfig(
         eta=eta, batch_size=1, max_epochs=k_passes, val_fraction=0.0, patience=k_passes, seed=seed
     )
-    models, _ = fit_sgd_population(panel, arch, [Member(r, spec, plain) for r in rows])
+    models, traces = fit_sgd_population(panel, arch, [Member(r, spec, plain) for r in rows])
+    raise_divergence(traces)
     return [parameter_distance(models[0], other) for other in models[1:]]
 
 

@@ -1,6 +1,7 @@
 """The mini-batch descent loop: the only code that updates model parameters,
 shared by the linear learners, the network learners and the network's
-one-row-swap stability probe.
+one-row-swap stability probe.  A sweep's fits, CV folds and final fits alike,
+reach it through learners.fit_population.
 
 `descend` trains a population of K models at once.  Each model's parameters
 are one row of a (K, n_params) array, and each member (`Member`) fits its own
@@ -14,7 +15,8 @@ its K = 1 fit ends; that is why a population must never share rows across
 members in one matrix product.  Per member, the loop owns the validation
 split, the batch order, the SGD or Adam update with masked weight decay, the
 divergence checks, the per-epoch trace, the best-validation snapshot and the
-stopping rules; a member that stops leaves the population.  Each epoch prices
+stopping rules; a member that stops or diverges leaves the population, and
+the others train on exactly as their lone fits would.  Each epoch prices
 only the validation rows, which is all the stop rules read; a member's
 training split is priced once, on its last iterate, when it leaves.
 """
@@ -39,12 +41,7 @@ BAND_KINDS = (EPS_NV, NVC)
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or parameter; `member` is the
-    population index of the model that diverged."""
-
-    def __init__(self, message: str, member: int = 0):
-        super().__init__(message)
-        self.member = member
+    """Training produced a non-finite loss or parameter."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,9 @@ class TrainConfig:
 class TrainTrace:
     """Per-epoch validation losses (none without a hold-out), the mean
     training loss of the last iterate, priced once when the fit ends, and
-    wall-clock fitting time."""
+    wall-clock fitting time: from the start of the population until the
+    member left it.  A diverged fit stops with reason "diverged" and error
+    set to what went non-finite, and when."""
 
     train_loss: float = float("nan")
     val_loss: list[float] = field(default_factory=list)
@@ -105,6 +104,14 @@ class TrainTrace:
     best_epoch: int = 0
     epochs_run: int = 0
     stop_reason: str = "max_epochs"
+    error: str | None = None
+
+
+def raise_divergence(traces) -> None:
+    """Raise the DivergenceError of the first diverged trace, if any."""
+    for trace in traces:
+        if trace.error:
+            raise DivergenceError(trace.error)
 
 
 @dataclass(frozen=True)
@@ -174,9 +181,9 @@ def descend(
 
     Members must agree on batch_shape.  Returns the best-validation snapshot
     (without a hold-out, the last iterate) of every member as a (K, n_params)
-    array, and the traces.  When members diverge, the DivergenceError of the
-    lowest-index one is raised once every member before it has finished;
-    members after it stop early.
+    array, and the traces.  A member that diverges leaves the population with
+    its best snapshot so far and the reason on its trace (raise_divergence
+    turns it into the lone fit's error); the others train on as if alone.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -275,7 +282,6 @@ def descend(
     best = params.copy()
     traces = [TrainTrace() for _ in members]
     best_loss, prev_loss, strikes = np.full(K, np.inf), np.full(K, np.inf), np.zeros(K, int)
-    failure = None  # (member, message) of the lowest-index failure so far
     started = time.perf_counter()
 
     for epoch in range(1, config.max_epochs + 1):
@@ -286,14 +292,13 @@ def descend(
 
         done = np.zeros(P.shape[0], bool)
         for i, (k, val_loss) in enumerate(zip(live.ids.tolist(), val_losses)):
-            if not finite[i] or not np.isfinite(val_loss):
-                what = "parameters" if not finite[i] else "loss"
-                if failure is None or k < failure[0]:
-                    failure = (k, f"non-finite {what} at epoch {epoch}")
-                done[i] = True
-                continue
             trace = traces[k]
             trace.epochs_run = epoch
+            if not finite[i] or not np.isfinite(val_loss):
+                what = "parameters" if not finite[i] else "loss"
+                trace.stop_reason, trace.error = "diverged", f"non-finite {what} at epoch {epoch}"
+                done[i] = True
+                continue
             if not held_out:  # no stop rule can fire; the last iterate is returned
                 trace.best_epoch, best[k] = epoch, P[i]
                 continue
@@ -307,8 +312,6 @@ def descend(
                 trace.stop_reason, done[i] = "baseline", True
             elif strikes[k] >= config.patience:
                 trace.stop_reason, done[i] = "patience", True
-        if failure is not None:
-            done |= live.ids >= failure[0]  # a later member cannot change the outcome
         if epoch == config.max_epochs:
             done[:] = True
         if done.any():
@@ -322,6 +325,4 @@ def descend(
             if not live.ids.size:
                 break
 
-    if failure is not None:
-        raise DivergenceError(failure[1], member=failure[0])
     return best, traces

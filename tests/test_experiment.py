@@ -6,11 +6,22 @@ import numpy as np
 import pytest
 
 from censored_newsvendor import experiment
+from censored_newsvendor.data import (
+    DemandModelParams,
+    generate,
+    scale,
+    split_chronological,
+    with_q_star,
+)
 from censored_newsvendor.experiment import (
+    DEFAULT_ALGORITHMS,
     ExperimentConfig,
     run_experiment,
     write_reports,
 )
+from censored_newsvendor.learners import fit_learner
+from censored_newsvendor.metrics import evaluate_predictions
+from censored_newsvendor.training import DivergenceError
 
 QUIET = lambda msg: None  # noqa: E731
 
@@ -41,20 +52,22 @@ class TestRunExperiment:
 
     def test_alpha_free_learner_fitted_once_per_seed(self, monkeypatch):
         calls = []
-        real = experiment.fit_learner
+        real = experiment.fit_population
 
-        def counting(kind, *args, **kwargs):
-            calls.append(kind)
-            return real(kind, *args, **kwargs)
+        def counting(dataset, jobs, *args, **kwargs):
+            calls.append([job[0] for job in jobs])
+            return real(dataset, jobs, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "fit_learner", counting)
+        monkeypatch.setattr(experiment, "fit_population", counting)
         config = ExperimentConfig(
             alphas=(0.75, 0.85), seeds=(0, 1), algorithms=("LR-MSE", "LR-NVC"),
             tuning_budget=1, cv_folds=1,
         )
         result = run_experiment(config, log=QUIET)
-        assert calls.count("LR-MSE") == 2  # once per seed
-        assert calls.count("LR-NVC") == 4  # its loss depends on the ratio
+        assert len(calls) == 2  # one call per seed
+        for kinds in calls:
+            assert kinds.count("LR-MSE") == 1  # once per seed
+            assert kinds.count("LR-NVC") == 2  # its loss depends on the ratio
         # the reused fit places the same orders at both ratios, and its record
         # at the second ratio matches a sweep that fits at that ratio alone
         alone = run_experiment(
@@ -70,6 +83,60 @@ class TestRunExperiment:
             assert (high.nv_cost, high.rmse_q) == (fresh.nv_cost, fresh.rmse_q)
             assert np.array_equal(high.abs_errors, fresh.abs_errors)
 
+    def test_pooled_final_fits_equal_lone_fits(self):
+        config = ExperimentConfig(
+            alphas=(0.85, 0.95), seeds=(0,), algorithms=DEFAULT_ALGORITHMS,
+            tuning_budget=1, cv_folds=1,
+        )
+        result = run_experiment(config, log=QUIET)
+        assert not result.failures
+        assert [(r.algorithm, r.alpha) for r in result.runs] == [
+            (a, alpha) for a in config.algorithms for alpha in config.alphas
+        ]
+        params = DemandModelParams()
+        train_raw, test_raw = split_chronological(generate(params, seed=0))
+        train_s, test_s, record = scale(train_raw, test_raw)
+        for run in result.runs:
+            hp = result.tuned[(run.algorithm, 0)][run.alpha]
+            fitted = fit_learner(run.algorithm, train_s, run.alpha, hp, seed=0)
+            preds = record.unscale_target(fitted.predict(test_s.features))
+            test = with_q_star(test_raw, params, run.alpha)
+            lone = evaluate_predictions(test, preds, run.alpha, fitted.fit_seconds)
+            assert (run.nv_cost, run.rmse_q, run.service_level, run.service_gap) == (
+                lone.nv_cost, lone.rmse_q, lone.service_level, lone.service_gap
+            ), (run.algorithm, run.alpha)
+            assert np.array_equal(run.abs_errors, lone.abs_errors)
+
+    def test_one_failing_final_fit_fails_alone(self, monkeypatch):
+        # weight decay this strong makes every step grow LR-NVC's coefficients
+        # (|1 - 2 eta l2| > 1), so its fit at 0.85 overflows; nothing else does
+        real = experiment.two_stage_protocol
+
+        def tuned(train, kind, alphas, plan, **kwargs):
+            out = real(train, kind, alphas, plan, **kwargs)
+            if kind == "LR-NVC":
+                out[0.85] = {**out[0.85], "l2": 1e3}
+            return out
+
+        monkeypatch.setattr(experiment, "two_stage_protocol", tuned)
+        config = ExperimentConfig(
+            alphas=(0.75, 0.85), seeds=(0,), algorithms=("LR-MSE", "LR-NVC", "LR-eNVC-R"),
+            tuning_budget=1, cv_folds=1,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(config, log=QUIET)
+        train_s = scale(*split_chronological(generate(DemandModelParams(), seed=0)))[0]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as lone:
+            fit_learner("LR-NVC", train_s, 0.85, result.tuned[("LR-NVC", 0)][0.85], seed=0)
+        assert result.failures == [
+            {"algorithm": "LR-NVC", "alpha": 0.85, "seed": 0, "stage": "fit",
+             "error": str(lone.value)}
+        ]
+        assert [(r.algorithm, r.alpha) for r in result.runs] == [
+            ("LR-MSE", 0.75), ("LR-MSE", 0.85), ("LR-NVC", 0.75),
+            ("LR-eNVC-R", 0.75), ("LR-eNVC-R", 0.85),
+        ]
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(algorithms=("LR-QUANTUM",))
@@ -77,6 +144,10 @@ class TestRunExperiment:
             ExperimentConfig(algorithms=())
         with pytest.raises(ValueError, match="distinct"):
             ExperimentConfig(seeds=(1, 1))
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            ExperimentConfig(tuning_budget=0)
+        with pytest.raises(ValueError, match="folds must be at least 1"):
+            ExperimentConfig(cv_folds=0)
 
 
 class TestReportTree(object):

@@ -454,19 +454,25 @@ class TestPopulation:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             fit_gd(ds.take(members[1].rows), members[1].spec, unstopped)
 
-    def test_divergence_reports_first_member(self):
-        # member 3 diverges first (epoch 1), but member 1 comes first in
-        # order: its own fit's error is the one raised
+    def test_diverged_members_end_as_their_lone_fits(self):
+        # members 1 and 3 diverge (3 at epoch 1, 1 later); each leaves with
+        # its own fit's error and the others train on as if alone
         ds = panel(150, 3, seed=7)
-        members = self.mse_members([0.01, 1e20, 0.02, 1e60])
+        members = self.mse_members([0.01, 1e20, 0.02, 1e60, 0.03])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as own:
-                fit_gd(ds.take(members[1].rows), members[1].spec, members[1].config)
-            with pytest.raises(DivergenceError) as pooled:
-                linear.fit_gd_population(ds, members)
-        assert str(pooled.value) == str(own.value)
-        assert pooled.value.member == 1
-        assert "epoch 1" not in str(own.value)
+            models, traces = linear.fit_gd_population(ds, members)
+            for k, (m, model, trace) in enumerate(zip(members, models, traces)):
+                if k in (1, 3):
+                    with pytest.raises(DivergenceError) as own:
+                        fit_gd(ds.take(m.rows), m.spec, m.config)
+                    assert (trace.stop_reason, trace.error) == ("diverged", str(own.value))
+                else:
+                    own_model, own_trace = fit_gd(ds.take(m.rows), m.spec, m.config)
+                    assert_same_fit(model.theta, trace, own_model.theta, own_trace)
+                    assert trace.error is None
+        assert traces[3].error.endswith("at epoch 1")
+        assert traces[1].epochs_run > 1
+        assert max(t.epochs_run for t in traces) > traces[1].epochs_run
 
     def test_members_must_share_batch_shape(self):
         ds = panel(150, 3, seed=5)

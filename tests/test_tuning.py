@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from censored_newsvendor.data import Dataset
-from censored_newsvendor.losses import LossSpec
+from censored_newsvendor.learners import fit_learner
+from censored_newsvendor.losses import LossSpec, batch_loss
 from censored_newsvendor.tuning import (
     CVPlan,
     SearchSpace,
     _folds,
-    cv_score,
     cv_scores,
     search,
     two_stage_protocol,
@@ -25,6 +25,22 @@ def small_train():
 
 
 FAST = {"eta": 0.02, "batch_size": 30}
+
+
+def cv_score(train, learner_kind, spec, hyperparams, plan):
+    """The sequential reference of cv_scores: the plan's folds fitted one
+    after another, each on its own rows, and their held-out losses averaged."""
+    scores = []
+    for j, (fit_idx, val_idx) in enumerate(_folds(train.n, plan)):
+        fold_val = train.take(val_idx)
+        try:
+            fitted = fit_learner(
+                learner_kind, train.take(fit_idx), spec.alpha, hyperparams, seed=plan.seed + j
+            )
+        except Exception as exc:
+            raise RuntimeError(f"fold {j} failed: {exc}") from exc
+        scores.append(batch_loss(fold_val.sales, fitted.predict(fold_val.features), spec))
+    return float(np.mean(scores))
 
 
 class TestSearchSpace:
@@ -81,6 +97,13 @@ class TestCvScore:
         a = cv_score(small_train, "LR-MSE", spec, {}, plan)
         b = cv_score(doubled, "LR-MSE", spec, {}, plan)
         assert b == pytest.approx(a, abs=0.02)
+
+
+class TestCVPlan:
+    @pytest.mark.parametrize("field", ["folds", "budget"])
+    def test_rejects_fewer_than_one(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            CVPlan(**{field: 0})
 
 
 class TestSearch:
