@@ -123,9 +123,10 @@ def run_experiment(
 
     Per seed, every algorithm is tuned first; then the seed's distinct final
     fits go to one learners.fit_population call, where fits that share a
-    batch shape train as one population, each bit-identical to its lone
-    fit.  Failures are recorded per run, in algorithm then ratio order, and
-    the sweep continues.
+    batch shape train as populations spread over the usable CPUs, each
+    bit-identical to its lone fit, so no artifact but fit_times.csv depends
+    on the CPU count.  Failures are recorded per run, in algorithm then
+    ratio order, and the sweep continues.
     """
     params = params or DemandModelParams()
     runs: list[RunRecord] = []

@@ -10,12 +10,16 @@ experiment driver, and the CLI:
   NN-MSE / NN-NVC / NN-eNVC   the network counterparts
 
 Every fit goes through fit_population, which takes a list of jobs of any
-kinds and trains the descent fits that can share a step as one population;
-fit_learner is its one-job case.
+kinds and trains the descent fits that can share a step as populations,
+split across the usable CPUs by forked worker processes, each fit bit for
+bit what it would be alone; fit_learner is its one-job case and never
+starts a process.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -126,9 +130,14 @@ def fit_population(dataset, jobs, nn_optimizer: str = "adam") -> list:
     alpha, hyperparams, seed, nn_optimizer) returns, bit for bit, or the
     exception it raises: every job is tried, and a failing job fails alone.
     LR-MSE is solved in closed form.  Descent fits that share an
-    architecture and a batch shape (training.batch_shape) train as one
-    population through training.descend, whatever their kinds, seeds, rows,
-    learning rates, weight decay and bands.
+    architecture and a batch shape (training.batch_shape) form a group,
+    whatever their kinds, seeds, rows, learning rates, weight decay and
+    bands.  Each group is dealt into up to one interleaved chunk per usable
+    CPU, and every chunk trains as one population through training.descend,
+    in a pool of forked worker processes, largest chunks first, closed
+    before the call returns.  With one chunk, one usable CPU, no fork, or
+    other threads running, the chunks train in this process.  A fit's time
+    runs from the start of its chunk's population.
     """
     results: list = [None] * len(jobs)
     groups: dict = {}
@@ -147,20 +156,80 @@ def fit_population(dataset, jobs, nn_optimizer: str = "adam") -> list:
         member = Member(rows, spec, config)
         groups.setdefault((arch, batch_shape(member)), []).append((j, kind, member))
 
-    for (arch, _), group in groups.items():
-        members = [member for _, _, member in group]
-        try:
-            if arch is None:
-                models, traces = linear.fit_gd_population(dataset, members)
-            else:
-                models, traces = neural.fit_sgd_population(dataset, arch, members, nn_optimizer)
-        except Exception as exc:  # raised before training, so every member's own fit raises it
-            for j, _, _ in group:
-                results[j] = exc
-            continue
-        for (j, kind, _), model, trace in zip(group, models, traces):
+    # a fork copies every lock another thread may hold, so a process running
+    # other threads trains in-process
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = _usable_cpus() if forkable else 1
+    chunks = [
+        (arch, group[w::workers])
+        for (arch, _), group in groups.items()
+        for w in range(min(workers, len(group)))
+    ]
+    chunks.sort(key=lambda chunk: -_work(dataset, *chunk))
+    for (arch, chunk), outcomes in zip(chunks, _train_all(dataset, chunks, nn_optimizer, workers)):
+        for (j, kind, _), outcome in zip(chunk, outcomes):
+            if isinstance(outcome, Exception):
+                results[j] = outcome
+                continue
+            model, trace = outcome
             results[j] = (
                 DivergenceError(trace.error) if trace.error
                 else FittedLearner(kind, model, trace.fit_seconds, trace)
             )
     return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _work(dataset, arch, chunk) -> int:
+    """Multiply-adds of one pass over a chunk's rows: members x rows x
+    parameters per model."""
+    sizes = (dataset.p, 1) if arch is None else arch
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    return sum(member.rows.shape[0] for _, _, member in chunk) * n_params
+
+
+def _train_all(dataset, chunks, optimizer: str, workers: int) -> list:
+    """_train of every (arch, [(job, kind, member), ...]) chunk, in order:
+    in a pool of up to `workers` forked processes when there are several
+    chunks, else in this process."""
+    tasks = [(dataset, arch, [m for _, _, m in chunk], optimizer) for arch, chunk in chunks]
+    if len(tasks) < 2 or workers < 2:
+        return [_train(*task) for task in tasks]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    outcomes = []
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context) as pool:
+        futures = [pool.submit(_train, *task) for task in tasks]
+        for future, (_, _, members, _) in zip(futures, tasks):
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # the worker died or its result did not pickle
+                outcomes.append([exc] * len(members))
+    return outcomes
+
+
+def _train(dataset, arch, members, optimizer: str) -> list:
+    """(model, trace) of every member, trained as one population, or the
+    exception of each member whose lone fit raises one.  When the
+    population raises, each member trains alone, so that a failing member
+    fails alone and the others end as their lone fits do."""
+    try:
+        if arch is None:
+            models, traces = linear.fit_gd_population(dataset, members)
+        else:
+            models, traces = neural.fit_sgd_population(dataset, arch, members, optimizer)
+    except Exception as exc:
+        if len(members) == 1:
+            return [exc]
+        return [out for member in members for out in _train(dataset, arch, [member], optimizer)]
+    return list(zip(models, traces))

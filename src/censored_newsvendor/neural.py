@@ -77,6 +77,10 @@ class MLPModel:
         model._bind(list(layer_sizes), params)
         return model
 
+    def __reduce__(self):
+        # pickle the vector alone, so an unpickled model's views stay views
+        return MLPModel.from_params, (self.layer_sizes, self.params)
+
     def _bind(self, layer_sizes: list[int], params: np.ndarray) -> None:
         if layer_sizes[-1] != 1:
             raise ValueError("the output layer must hold exactly one node")
@@ -92,10 +96,9 @@ class MLPModel:
 
 
 class BackpropState(NamedTuple):
-    """Cached activations (a^0 is the input) and pre-activations per layer."""
+    """Cached activations per layer (a^0 is the input)."""
 
     activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
 
 
 class GradientSet:
@@ -133,14 +136,14 @@ def init_mlp(layer_sizes, seed: int = 0) -> MLPModel:
 def _propagate(weights, biases, a: np.ndarray) -> BackpropState:
     """Activations of inputs a (..., b, p) through layers with weights
     (..., out, in) and biases (..., out); a leading model axis carries through."""
-    activations, pre_activations = [a], []
+    activations = [a]
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
-        pre_activations.append(z)
-        a = z if l == last else expit(z)
+        a = a @ w.swapaxes(-1, -2) + b[..., None, :]
+        if l < last:
+            expit(a, out=a)  # a is a fresh array: squash it where it lies
         activations.append(a)
-    return BackpropState(activations, pre_activations)
+    return BackpropState(activations)
 
 
 def _backprop(weights, state: BackpropState, dy: np.ndarray) -> np.ndarray:

@@ -254,8 +254,11 @@ def descend(
                 P -= live.eta * grad
             else:
                 steps += 1
-                live.m = ADAM_BETA1 * live.m + (1 - ADAM_BETA1) * grad
-                live.v = ADAM_BETA2 * live.v + (1 - ADAM_BETA2) * grad * grad
+                # in place, each product and sum as in m = b1 m + (1 - b1) g
+                live.m *= ADAM_BETA1
+                live.m += (1 - ADAM_BETA1) * grad
+                live.v *= ADAM_BETA2
+                live.v += (1 - ADAM_BETA2) * grad * grad
                 P -= (
                     live.eta * (live.m / (1 - ADAM_BETA1**steps))
                     / (np.sqrt(live.v / (1 - ADAM_BETA2**steps)) + ADAM_EPS)
@@ -263,11 +266,10 @@ def descend(
 
     def mean_loss(live, rows, targets) -> list[float]:
         """Mean loss of every live member on its rows (k, m), whose targets
-        are (k, m).  Each member's rows are gathered contiguously, as a lone
-        fit holds them, so that the products round alike."""
-        y = np.empty_like(targets)
-        for i in range(y.shape[0]):
-            y[i] = forward(live.params[i : i + 1], X.take(rows[i][None], axis=0))[0][0]
+        are (k, m), priced by one stacked forward pass: each member's rows
+        are contiguous in the stack, as a lone fit holds them, so that the
+        products round alike."""
+        y = forward(live.params, X.take(rows, axis=0))[0]
         if band:
             loss = band_cost(targets, y, live.alpha, live.eps1, live.eps2)
         else:

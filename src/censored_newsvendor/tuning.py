@@ -8,7 +8,8 @@ out part.  Candidates are drawn sequentially from one seeded stream, so the
 winner with a larger budget can only improve for the same seed.
 
 A search fits all its candidates x folds at once through cv_scores: fits
-that share a batch shape train as one population (training.descend), and
+that share a batch shape train as populations (training.descend), split
+over the usable CPUs by learners.fit_population, and
 stage 2 pools the searches of every ratio, so a banded learner's stage-2
 fits all train together.  Scores, winners and fold errors equal those of
 fitting each fold in turn.
@@ -122,10 +123,11 @@ def cv_scores(train, learner_kind: str, candidates) -> list[float]:
     every (spec, hyperparams, plan) candidate.
 
     The folds of all candidates go to one learners.fit_population call,
-    which trains fits that share a batch shape as one population.  Scores,
-    and the error raised when a fold fails (`fold j failed: ...` for the
-    first failing fit in candidate and fold order), equal those of fitting
-    each fold in turn with fit_learner.
+    which trains fits that share a batch shape as populations, spread over
+    the usable CPUs by worker processes.  Scores, and the error raised when
+    a fold fails (`fold j failed: ...` for the first failing fit in
+    candidate and fold order), equal those of fitting each fold in turn
+    with fit_learner, on any number of CPUs.
     """
     jobs, held_out = [], []  # held_out: (candidate, fold, held-out rows) per job
     for c, (spec, hyperparams, plan) in enumerate(candidates):

@@ -1,10 +1,15 @@
 """Random-search tuning protocol: determinism, constraints, budgets."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from censored_newsvendor import learners
 from censored_newsvendor.data import Dataset
-from censored_newsvendor.learners import fit_learner
+from censored_newsvendor.learners import fit_learner, fit_population
 from censored_newsvendor.losses import LossSpec, batch_loss
 from censored_newsvendor.tuning import (
     CVPlan,
@@ -267,3 +272,125 @@ class TestPooledScoring:
         assert str(sequential.value).startswith("fold 1 failed: ")
         assert str(pooled.value) == str(sequential.value)
         assert type(pooled.value.__cause__) is type(sequential.value.__cause__)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: fit_population deals each group into one chunk per
+# usable CPU and trains the chunks in forked workers; every job must end as
+# it ends in this process, and no worker may outlive the call.
+
+NET = {"batch_size": 30, "units1": 4, "units2": 3}
+
+
+def mixed_jobs(n):
+    """LR and NN groups of two row counts, with differing seeds, ratios,
+    rates, decay and bands; the 120-row network group holds three jobs, so
+    with two CPUs one chunk trains two of them."""
+    part = np.sort(np.random.default_rng(3).choice(n, size=90, replace=False))
+    every = np.arange(n)
+    return [
+        ("LR-NVC", every, 0.7, {**FAST, "l2": 5e-4}, 0),
+        ("LR-eNVC-R", part, 0.9, {**FAST, "l2": 1e-3, "eps1": 0.1, "eps2": 0.02}, 1),
+        ("NN-eNVC", every, 0.8, {**NET, "eps1": 0.15, "eps2": 0.05}, 2),
+        ("NN-MSE", part, 0.5, NET, 3),
+        ("LR-MSE", part, 0.5, None, 4),
+        ("NN-NVC", every, 0.6, NET, 5),
+        ("LR-eNVC", every, 0.6, {**FAST, "eps1": 0.05, "eps2": 0.0}, 6),
+        ("NN-NVC", every, 0.95, NET, 7),
+        ("LR-NVC", part, 0.95, {"eta": 0.01, "batch_size": 30}, 8),
+    ]
+
+
+def outcome(fit):
+    """Everything of a result but its wall time."""
+    if isinstance(fit, Exception):
+        return type(fit), str(fit)
+    model = getattr(fit.model, "theta", None)
+    params = fit.model.params if model is None else model
+    trace = fit.trace and (
+        fit.trace.train_loss, fit.trace.val_loss, fit.trace.best_epoch,
+        fit.trace.epochs_run, fit.trace.stop_reason,
+    )
+    return fit.kind, params.tobytes(), trace
+
+
+def fit_with_cpus(monkeypatch, cpus, dataset, jobs):
+    """fit_population as if `cpus` CPUs were usable; returns the outcomes
+    and the number of worker processes forked."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = fit_population(dataset, jobs)
+    assert multiprocessing.active_children() == []
+    return [outcome(fit) for fit in results], len(forks)
+
+
+class TestWorkerPool:
+    def test_pooled_equals_in_process(self, small_train, monkeypatch):
+        jobs = mixed_jobs(small_train.n)
+        alone, alone_forks = fit_with_cpus(monkeypatch, 1, small_train, jobs)
+        pooled, pooled_forks = fit_with_cpus(monkeypatch, 2, small_train, jobs)
+        assert (alone_forks, pooled_forks) == (0, 2)
+        assert pooled == alone
+        assert not any(isinstance(kind, type) for kind, *_ in alone)
+
+    def test_failing_jobs_fail_alone_in_workers(self, small_train, monkeypatch):
+        # with two CPUs, job 10 diverges at epoch 1 in a chunk with job 3, and
+        # job 11's seed is refused before training in a chunk with job 5
+        jobs = mixed_jobs(small_train.n)
+        part = jobs[3][1]
+        jobs += [
+            ("NN-MSE", part, 0.5, NET, 9),
+            ("NN-MSE", part, 0.5, {**NET, "nn_eta": 1e300}, 10),
+            ("NN-NVC", np.arange(small_train.n), 0.7, NET, -1),
+        ]
+        pooled, _ = fit_with_cpus(monkeypatch, 2, small_train, jobs)
+        alone, _ = fit_with_cpus(monkeypatch, 1, small_train, jobs)
+        assert pooled == alone
+        assert pooled[:10] == fit_with_cpus(monkeypatch, 2, small_train, jobs[:10])[0]
+        for (kind, rows, alpha, hp, seed), got in zip(jobs[10:], pooled[10:]):
+            with pytest.raises(Exception) as lone, np.errstate(over="ignore", invalid="ignore"):
+                fit_learner(kind, small_train.take(rows), alpha, hp, seed)
+            assert got == (type(lone.value), str(lone.value))
+
+    def test_failing_fold_is_reported_from_workers(self, small_train, monkeypatch):
+        plan = CVPlan(folds=2, seed=15, budget=1)
+        candidates = [(LossSpec.nvc(0.6), {**NET, "batch_size": b}, plan) for b in (20, 30)]
+        candidates.append((LossSpec.mse(), {**NET, "nn_eta": 1e300}, plan))
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+            with pytest.raises(RuntimeError) as failed, np.errstate(all="ignore"):
+                cv_scores(small_train, "NN-MSE", candidates)
+            assert multiprocessing.active_children() == []
+            errors.append(str(failed.value))
+        assert errors[0] == errors[1] == "fold 0 failed: non-finite parameters at epoch 1"
+
+    def test_one_job_starts_no_process(self, small_train, monkeypatch):
+        def refuse():
+            raise AssertionError("fit_learner forked a process")
+
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", refuse)
+        fitted = fit_learner("NN-eNVC", small_train, 0.8, {**NET, "eps1": 0.1, "eps2": 0.0}, seed=2)
+        assert fitted.trace.error is None
+
+    def test_threaded_process_forks_nothing(self, small_train, monkeypatch):
+        jobs = mixed_jobs(small_train.n)[:2]  # two groups, so two chunks
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(60,))
+        helper.start()
+        try:
+            threaded, forks = fit_with_cpus(monkeypatch, 2, small_train, jobs)
+        finally:
+            release.set()
+            helper.join(timeout=60)
+        assert not helper.is_alive()
+        assert forks == 0
+        assert threaded == fit_with_cpus(monkeypatch, 2, small_train, jobs)[0]
