@@ -40,6 +40,6 @@ from .metrics import (
 )
 from .neural import MLPModel, backward, fit_sgd, forward, init_mlp, uas_bound, uas_probe
 from .training import DivergenceError, TrainConfig, TrainTrace
-from .tuning import CVPlan, SearchSpace, search, two_stage_protocol
+from .tuning import CVPlan, SearchSpace, search, tune_all, two_stage_protocol
 
 __version__ = "0.1.0"

@@ -3,10 +3,11 @@
 One run = (seed, alpha, algorithm): generate that seed's panel, tune via the
 two-stage protocol, fit on censored scaled training sales, predict the test
 window, invert the scaling, and score against the held-back demand and the
-distribution-optimal quantities.  A seed's final fits all train in one
-learners.fit_population call.  Reports are plot-ready CSVs plus a JSON
-summary; wall-clock fitting times go to their own file so every other
-artifact is byte-deterministic for a fixed manifest.
+distribution-optimal quantities.  One tuning.tune_all call tunes a seed's
+algorithms and one learners.fit_population call trains its final fits.
+Reports are plot-ready CSVs plus a JSON summary; wall-clock fitting times go
+to their own file so every other artifact is byte-deterministic for a fixed
+manifest.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import (
     with_q_star,
 )
 # fit_learner is not called here; perfbench's tracer checks that this module binds it
-from .learners import LEARNER_KINDS, fit_learner, fit_population, loss_for  # noqa: F401
+from .learners import LEARNER_KINDS, fit_learner, fit_population  # noqa: F401
 from .metrics import (
     evaluate_predictions,
     savings_percent,
@@ -40,7 +41,7 @@ from .stability import (
     uas_probe_sweep,
 )
 from .losses import LossSpec
-from .tuning import CVPlan, two_stage_protocol
+from .tuning import CVPlan, tune_all
 
 DEFAULT_ALPHAS = (0.55, 0.65, 0.75, 0.85, 0.95)
 DEFAULT_ALGORITHMS = ("LR-MSE", "LR-NVC", "LR-eNVC-R", "NN-MSE", "NN-NVC", "NN-eNVC")
@@ -121,12 +122,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Tune, fit, and evaluate every (seed, alpha, algorithm) combination.
 
-    Per seed, every algorithm is tuned first; then the seed's distinct final
-    fits go to one learners.fit_population call, where fits that share a
-    batch shape train as populations spread over the usable CPUs, each
-    bit-identical to its lone fit, so no artifact but fit_times.csv depends
-    on the CPU count.  Failures are recorded per run, in algorithm then
-    ratio order, and the sweep continues.
+    Per seed, one tuning.tune_all call tunes every algorithm; then the seed's
+    final fits go to one learners.fit_population call, which trains equal
+    fits once (an alpha-free *-MSE learner once per seed), each bit-identical
+    to its lone fit, so no artifact but fit_times.csv depends on the CPU
+    count.  Failures are recorded per run, in algorithm then ratio order,
+    and the sweep continues.
     """
     params = params or DemandModelParams()
     runs: list[RunRecord] = []
@@ -139,36 +140,23 @@ def run_experiment(
             alpha: with_q_star(test_raw, params, alpha) for alpha in config.alphas
         }
         plan = CVPlan(folds=config.cv_folds, seed=seed, budget=config.tuning_budget)
-        stage1_cache: dict = {}
-        # A fit depends on the ratio only through its training loss, so an
-        # alpha-free learner (*-MSE) with the same hyperparameters is fitted
-        # once per seed and reused at every ratio.
-        jobs, key_of, tune_errors = {}, {}, {}
-        for algorithm in config.algorithms:
-            try:
-                tuned = two_stage_protocol(
-                    train_s, algorithm, config.alphas, plan, stage1_cache=stage1_cache
-                )
-            except Exception as exc:  # tuning failure poisons the whole algorithm
-                log(f"[seed {seed}] tuning {algorithm} failed: {exc}")
-                tune_errors[algorithm] = exc
-                continue
-            tuned_all[(algorithm, seed)] = tuned
-            for alpha in config.alphas:
-                hp = tuned[alpha]
-                key = key_of[algorithm, alpha] = (
-                    algorithm,
-                    loss_for(algorithm, alpha, hp.get("eps1", 0.0), hp.get("eps2", 0.0)),
-                    json.dumps(hp, sort_keys=True),
-                )
-                jobs.setdefault(key, (algorithm, np.arange(train_s.n), alpha, hp, seed))
-        fits = dict(zip(jobs, fit_population(train_s, list(jobs.values()))))
+        tuned = tune_all(train_s, config.algorithms, config.alphas, plan)
+        jobs = [
+            (algorithm, np.arange(train_s.n), alpha, tuned[algorithm][alpha], seed)
+            for algorithm in config.algorithms
+            if not isinstance(tuned[algorithm], Exception)
+            for alpha in config.alphas
+        ]
+        fits = iter(fit_population(train_s, jobs))
 
         for algorithm in config.algorithms:
+            # a tuning failure poisons the whole algorithm
+            tune_error = tuned[algorithm] if isinstance(tuned[algorithm], Exception) else None
+            if not tune_error:
+                tuned_all[(algorithm, seed)] = tuned[algorithm]
             for alpha in config.alphas:
-                stage = "tune" if algorithm in tune_errors else "fit"
                 try:
-                    fitted = tune_errors.get(algorithm) or fits[key_of[algorithm, alpha]]
+                    fitted = tune_error or next(fits)
                     if isinstance(fitted, Exception):
                         raise fitted
                     preds = record.unscale_target(fitted.predict(test_s.features))
@@ -184,8 +172,8 @@ def run_experiment(
                         )
                     )
                 except Exception as exc:
-                    if stage == "fit":
-                        log(f"[seed {seed}] {algorithm} at alpha={alpha} failed: {exc}")
+                    stage = "tune" if tune_error else "fit"
+                    log(f"[seed {seed}] {algorithm} at alpha={alpha} failed to {stage}: {exc}")
                     failures.append(
                         {"algorithm": algorithm, "alpha": alpha, "seed": seed,
                          "stage": stage, "error": str(exc)}
@@ -271,13 +259,13 @@ def write_reports(result: ExperimentResult, out_dir) -> None:
         if banded not in have or plain not in have:
             continue
         for alpha in config.alphas:
-            per_seed = []
+            per_seed = {}
             for seed in config.seeds:
                 rb = result.run(banded, alpha, seed)
                 rp = result.run(plain, alpha, seed)
                 if rb is None or rp is None:
                     continue
-                per_seed.append(savings_percent(rp.nv_cost, rb.nv_cost))
+                per_seed[seed] = savings_percent(rp.nv_cost, rb.nv_cost)
                 w = wilcoxon_paired(rp.abs_errors, rb.abs_errors)
                 wilcoxon_rows.append(
                     (banded, plain, alpha, seed, w.statistic, w.p_value,
@@ -285,25 +273,27 @@ def write_reports(result: ExperimentResult, out_dir) -> None:
                 )
             if per_seed:
                 savings_rows.append(
-                    (banded, plain, alpha, float(np.mean(per_seed)))
-                    + tuple(per_seed)
+                    (banded, plain, alpha, float(np.mean(list(per_seed.values()))))
+                    + tuple(per_seed.get(seed, "") for seed in config.seeds)
                 )
+            present = {r.algorithm for r in result.runs if r.alpha == alpha}
+            if banded not in present:
+                continue
             gaps_b = result.mean_metric(banded, alpha, "service_gap")
             row = [banded, alpha, gaps_b]
             for baseline in (eas, plain):
-                if baseline in config.algorithms:
-                    gb = result.mean_metric(baseline, alpha, "service_gap")
-                    row.append(100.0 * (gb - gaps_b) / gb if gb > 0 else 0.0)
-                else:
+                if baseline not in present:
                     row.append("")
+                    continue
+                gb = result.mean_metric(baseline, alpha, "service_gap")
+                row.append(100.0 * (gb - gaps_b) / gb if gb > 0 else 0.0)
             service_rows.append(tuple(row))
 
     if savings_rows:
-        n_seeds = max(len(r) - 4 for r in savings_rows)
         _write_csv(
             out / "savings.csv",
             ["banded", "baseline", "alpha", "mean_savings_pct"]
-            + [f"seed_{k}" for k in range(n_seeds)],
+            + [f"seed_{seed}" for seed in config.seeds],
             savings_rows,
         )
     if wilcoxon_rows:

@@ -10,10 +10,10 @@ experiment driver, and the CLI:
   NN-MSE / NN-NVC / NN-eNVC   the network counterparts
 
 Every fit goes through fit_population, which takes a list of jobs of any
-kinds and trains the descent fits that can share a step as populations,
-split across the usable CPUs by forked worker processes, each fit bit for
-bit what it would be alone; fit_learner is its one-job case and never
-starts a process.
+kinds, trains jobs with equal planned fits once, and trains the descent fits
+that can share a step as populations, split across the usable CPUs by
+forked worker processes, each fit bit for bit what it would be alone;
+fit_learner is its one-job case and never starts a process.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ LEARNER_KINDS = LINEAR_KINDS + NEURAL_KINDS
 BANDED_KINDS = ("LR-eNVC", "LR-eNVC-R", "NN-eNVC")
 # The descent-trained newsvendor linear models share one weight-decay knob.
 DECAYED_KINDS = ("LR-NVC", "LR-eNVC-R")
+CLOSED_FORM = "closed form"  # the architecture _plan gives a least-squares fit
 
 # Untuned fallbacks; the two-stage protocol overrides what it searches.
 DEFAULT_HYPERPARAMS = {
@@ -86,18 +87,23 @@ def loss_for(kind: str, alpha: float, eps1: float = 0.0, eps2: float = 0.0) -> L
     return LossSpec.nvc(alpha)
 
 
-def _plan(kind: str, n: int, p: int, alpha: float, hyperparams: dict | None, seed: int):
-    """Training loss, descent settings and network architecture (None for a
-    linear model) of a descent fit on n rows of p features."""
+def _plan(kind: str, rows: np.ndarray, p: int, alpha: float, hyperparams: dict | None, seed: int):
+    """The planned fit of a job on those rows of p features: its architecture
+    (CLOSED_FORM for least squares, None for a descent-trained linear model,
+    else the network's layer sizes) and its Member (rows, training loss,
+    descent settings).  Jobs with equal plans fit the same model."""
+    if kind == "LR-MSE":
+        return CLOSED_FORM, Member(rows, LossSpec.mse(), None)
     hp = {**DEFAULT_HYPERPARAMS, **(hyperparams or {})}
     spec = loss_for(kind, alpha, hp["eps1"], hp["eps2"])
     l2 = hp["l2"] if kind in DECAYED_KINDS else 0.0
     eta = hp["eta"] if kind in LINEAR_KINDS else hp["nn_eta"]
     config = TrainConfig(eta=eta, batch_size=int(hp["batch_size"]), l2=l2, seed=seed)
+    n = rows.shape[0]
     if config.batch_size > n - validation_size(n, config.val_fraction):
         config = config.updated(batch_size=max(1, n // 2))
     arch = None if kind in LINEAR_KINDS else (p, int(hp["units1"]), int(hp["units2"]), 1)
-    return spec, config, arch
+    return arch, Member(rows, spec, config)
 
 
 def fit_learner(
@@ -129,32 +135,47 @@ def fit_population(dataset, jobs, nn_optimizer: str = "adam") -> list:
     Result j is the FittedLearner that fit_learner(kind, dataset.take(rows),
     alpha, hyperparams, seed, nn_optimizer) returns, bit for bit, or the
     exception it raises: every job is tried, and a failing job fails alone.
-    LR-MSE is solved in closed form.  Descent fits that share an
-    architecture and a batch shape (training.batch_shape) form a group,
-    whatever their kinds, seeds, rows, learning rates, weight decay and
-    bands.  Each group is dealt into up to one interleaved chunk per usable
-    CPU, and every chunk trains as one population through training.descend,
-    in a pool of forked worker processes, largest chunks first, closed
-    before the call returns.  With one chunk, one usable CPU, no fork, or
-    other threads running, the chunks train in this process.  A fit's time
-    runs from the start of its chunk's population.
+    Jobs with equal planned fits (_plan) train once, and each gets its own
+    FittedLearner, with its own kind; LR-MSE is solved in closed form.
+    Descent fits that share an architecture and a batch shape
+    (training.batch_shape) form a group, whatever their kinds, seeds, rows,
+    learning rates, weight decay and bands.  Each group is dealt into up to
+    one interleaved chunk per usable CPU, and every chunk trains as one
+    population through training.descend, in a pool of forked worker
+    processes, largest chunks first, closed before the call returns.  With
+    one chunk, one usable CPU, no fork, or other threads running, the chunks
+    train in this process.  A fit's time runs from the start of its chunk's
+    population.
     """
     results: list = [None] * len(jobs)
-    groups: dict = {}
+    planned: dict = {}  # planned fit -> (arch, member, its jobs)
     for j, (kind, rows, alpha, hyperparams, seed) in enumerate(jobs):
         rows = np.asarray(rows)
         try:
-            if kind == "LR-MSE":
-                started = time.perf_counter()
-                model = linear.fit_mse_closed_form(dataset.take(rows))
-                results[j] = FittedLearner(kind, model, time.perf_counter() - started, None)
-                continue
-            spec, config, arch = _plan(kind, rows.shape[0], dataset.p, alpha, hyperparams, seed)
+            arch, member = _plan(kind, rows, dataset.p, alpha, hyperparams, seed)
         except Exception as exc:
             results[j] = exc
             continue
-        member = Member(rows, spec, config)
-        groups.setdefault((arch, batch_shape(member)), []).append((j, kind, member))
+        key = (arch, rows.dtype.str, rows.tobytes(), member.spec, member.config)
+        planned.setdefault(key, (arch, member, []))[2].append(j)
+
+    def settle(owners, outcome):  # each job of a planned fit gets its own result
+        for j in owners:
+            results[j] = (
+                outcome if isinstance(outcome, Exception) else FittedLearner(jobs[j][0], *outcome)
+            )
+
+    groups: dict = {}
+    for arch, member, owners in planned.values():
+        if arch != CLOSED_FORM:
+            groups.setdefault((arch, batch_shape(member)), []).append((owners, member))
+            continue
+        try:
+            started = time.perf_counter()
+            model = linear.fit_mse_closed_form(dataset.take(member.rows))
+            settle(owners, (model, time.perf_counter() - started, None))
+        except Exception as exc:
+            settle(owners, exc)
 
     # a fork copies every lock another thread may hold, so a process running
     # other threads trains in-process
@@ -166,16 +187,9 @@ def fit_population(dataset, jobs, nn_optimizer: str = "adam") -> list:
         for w in range(min(workers, len(group)))
     ]
     chunks.sort(key=lambda chunk: -_work(dataset, *chunk))
-    for (arch, chunk), outcomes in zip(chunks, _train_all(dataset, chunks, nn_optimizer, workers)):
-        for (j, kind, _), outcome in zip(chunk, outcomes):
-            if isinstance(outcome, Exception):
-                results[j] = outcome
-                continue
-            model, trace = outcome
-            results[j] = (
-                DivergenceError(trace.error) if trace.error
-                else FittedLearner(kind, model, trace.fit_seconds, trace)
-            )
+    for (_, chunk), trained in zip(chunks, _train_all(dataset, chunks, nn_optimizer, workers)):
+        for (owners, _), outcome in zip(chunk, trained):
+            settle(owners, outcome)
     return results
 
 
@@ -192,14 +206,14 @@ def _work(dataset, arch, chunk) -> int:
     parameters per model."""
     sizes = (dataset.p, 1) if arch is None else arch
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    return sum(member.rows.shape[0] for _, _, member in chunk) * n_params
+    return sum(member.rows.shape[0] for _, member in chunk) * n_params
 
 
 def _train_all(dataset, chunks, optimizer: str, workers: int) -> list:
-    """_train of every (arch, [(job, kind, member), ...]) chunk, in order:
+    """_train of every (arch, [(jobs, member), ...]) chunk, in order:
     in a pool of up to `workers` forked processes when there are several
     chunks, else in this process."""
-    tasks = [(dataset, arch, [m for _, _, m in chunk], optimizer) for arch, chunk in chunks]
+    tasks = [(dataset, arch, [m for _, m in chunk], optimizer) for arch, chunk in chunks]
     if len(tasks) < 2 or workers < 2:
         return [_train(*task) for task in tasks]
 
@@ -219,10 +233,11 @@ def _train_all(dataset, chunks, optimizer: str, workers: int) -> list:
 
 
 def _train(dataset, arch, members, optimizer: str) -> list:
-    """(model, trace) of every member, trained as one population, or the
-    exception of each member whose lone fit raises one.  When the
-    population raises, each member trains alone, so that a failing member
-    fails alone and the others end as their lone fits do."""
+    """(model, fit seconds, trace) of every member, trained as one
+    population, or the exception of each member whose lone fit raises one
+    (DivergenceError if it diverged).  When the population raises, each
+    member trains alone, so that a failing member fails alone and the others
+    end as their lone fits do."""
     try:
         if arch is None:
             models, traces = linear.fit_gd_population(dataset, members)
@@ -232,4 +247,7 @@ def _train(dataset, arch, members, optimizer: str) -> list:
         if len(members) == 1:
             return [exc]
         return [out for member in members for out in _train(dataset, arch, [member], optimizer)]
-    return list(zip(models, traces))
+    return [
+        DivergenceError(t.error) if t.error else (m, t.fit_seconds, t)
+        for m, t in zip(models, traces)
+    ]

@@ -3,16 +3,15 @@
 Stage 1 tunes model hyperparameters at critical ratio 0.55 with a zero-width
 band; stage 2 fixes those and tunes the band edges (eps1, eps2) per alpha.
 Both stages score candidates by repeated 75/25 cross-validation splits of
-the training set, evaluating each candidate's own training loss on the held
-out part.  Candidates are drawn sequentially from one seeded stream, so the
-winner with a larger budget can only improve for the same seed.
+the training set, evaluating on the held out part the loss each candidate's
+fits trained.  Candidates are drawn sequentially from one seeded stream, so
+the winner with a larger budget can only improve for the same seed.
 
-A search fits all its candidates x folds at once through cv_scores: fits
-that share a batch shape train as populations (training.descend), split
-over the usable CPUs by learners.fit_population, and
-stage 2 pools the searches of every ratio, so a banded learner's stage-2
-fits all train together.  Scores, winners and fold errors equal those of
-fitting each fold in turn.
+tune_all tunes several kinds in one pass per stage: every kind's stage-1
+candidates x folds train in one learners.fit_population call, every banded
+kind's stage-2 candidates of every ratio in a second.  Scores, winners and
+errors equal those of tuning each kind alone (two_stage_protocol, the
+one-kind case) and fitting each fold in turn.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .learners import (  # noqa: F401
     fit_population,
     loss_for,
 )
-from .losses import LossSpec, batch_loss
+from .losses import batch_loss
 
 STAGE1_ALPHA = 0.55
 
@@ -118,63 +117,67 @@ def _folds(n: int, plan: CVPlan) -> list[tuple[np.ndarray, np.ndarray]]:
     return folds
 
 
-def cv_scores(train, learner_kind: str, candidates) -> list[float]:
-    """Mean held-out loss (the spec's own loss) over the plan's splits, of
-    every (spec, hyperparams, plan) candidate.
+def cv_scores(train, candidates) -> list:
+    """Mean held-out loss over the plan's splits of every (kind, alpha,
+    hyperparams, plan) candidate, priced with the loss its fits trained
+    (learners.loss_for), or `fold j failed: ...` for its first failing fold.
 
-    The folds of all candidates go to one learners.fit_population call,
-    which trains fits that share a batch shape as populations, spread over
-    the usable CPUs by worker processes.  Scores, and the error raised when
-    a fold fails (`fold j failed: ...` for the first failing fit in
-    candidate and fold order), equal those of fitting each fold in turn
-    with fit_learner, on any number of CPUs.
+    The folds of all candidates train in one learners.fit_population call;
+    scores and errors equal those of fitting each fold in turn with
+    fit_learner, on any number of CPUs.
     """
     jobs, held_out = [], []  # held_out: (candidate, fold, held-out rows) per job
-    for c, (spec, hyperparams, plan) in enumerate(candidates):
+    for c, (kind, alpha, hyperparams, plan) in enumerate(candidates):
         for j, (fit_idx, val_idx) in enumerate(_folds(train.n, plan)):
-            jobs.append((learner_kind, fit_idx, spec.alpha, hyperparams, plan.seed + j))
+            jobs.append((kind, fit_idx, alpha, hyperparams, plan.seed + j))
             held_out.append((c, j, val_idx))
     fitted = fit_population(train, jobs)
-    fold_scores = [[] for _ in candidates]
+    scores: list = [[] for _ in candidates]
     for (c, j, val_idx), fit in zip(held_out, fitted):
+        if isinstance(scores[c], Exception):
+            continue
         if isinstance(fit, Exception):
-            raise RuntimeError(f"fold {j} failed: {fit}") from fit
+            scores[c] = RuntimeError(f"fold {j} failed: {fit}")
+            scores[c].__cause__ = fit
+            continue
+        kind, alpha, hp, _ = candidates[c]
+        spec = loss_for(kind, alpha, hp.get("eps1", 0.0), hp.get("eps2", 0.0))
         fold_val = train.take(val_idx)
-        preds = fit.predict(fold_val.features)
-        fold_scores[c].append(batch_loss(fold_val.sales, preds, candidates[c][0]))
-    return [float(np.mean(scores)) for scores in fold_scores]
+        scores[c].append(batch_loss(fold_val.sales, fit.predict(fold_val.features), spec))
+    return [s if isinstance(s, Exception) else float(np.mean(s)) for s in scores]
 
 
-def search(
-    train,
-    learner_kind: str,
-    spec_template: LossSpec,
-    space: SearchSpace,
-    plan: CVPlan,
-    fixed: dict | None = None,
-) -> tuple[dict, list]:
-    """Score `budget` sampled configurations; return the argmin and the table.
+def search(train, learner_kind: str, alpha: float, space: SearchSpace, plan: CVPlan,
+           fixed: dict | None = None) -> tuple[dict, list]:
+    """Score `budget` sampled configurations at critical ratio alpha; return
+    the argmin and the table.
 
     `fixed` holds hyperparameters pinned from an earlier stage; they are
     merged into every candidate before scoring.
     """
-    (result,) = _searches(train, learner_kind, space, [(spec_template, plan)], fixed)
+    (result,) = _searches(train, [(learner_kind, alpha, space, plan, fixed)])
+    if isinstance(result, Exception):
+        raise result
     return result
 
 
-def _searches(train, learner_kind, space, problems, fixed) -> list[tuple[dict, list]]:
-    """search for each (spec_template, plan) problem, with the candidates of
-    all problems scored by one cv_scores call."""
+def _searches(train, problems) -> list:
+    """search of each (kind, alpha, space, plan, fixed) problem, with the
+    candidates of all problems scored by one cv_scores call; a problem with
+    a failing candidate gets the error of the first."""
     drawn = []
-    for template, plan in problems:
+    for kind, alpha, space, plan, fixed in problems:
         rng = np.random.default_rng(plan.seed)
         candidates = [space.sample(rng) for _ in range(plan.budget)]
-        merged = [{**(fixed or {}), **cand} for cand in candidates]
-        drawn.append([(_apply_band(template, m), m, plan) for m in merged])
-    scores = iter(cv_scores(train, learner_kind, [c for batch in drawn for c in batch]))
+        drawn.append([(kind, alpha, {**(fixed or {}), **cand}, plan) for cand in candidates])
+    scores = iter(cv_scores(train, [c for batch in drawn for c in batch]))
     results = []
     for batch in drawn:
-        table = [(merged, next(scores)) for _, merged, _ in batch]
+        table = [(merged, next(scores)) for _, _, merged, _ in batch]
+        failed = [score for _, score in table if isinstance(score, Exception)]
+        if failed:
+            results.append(failed[0])
+            continue
         best, best_score = None, np.inf
         for merged, score in table:
             if score < best_score:
@@ -183,63 +186,52 @@ def _searches(train, learner_kind, space, problems, fixed) -> list[tuple[dict, l
     return results
 
 
-def _apply_band(spec: LossSpec, candidate: dict) -> LossSpec:
-    if "eps1" not in candidate and "eps2" not in candidate:
-        return spec
-    eps1 = candidate.get("eps1", spec.eps1)
-    eps2 = candidate.get("eps2", spec.eps2)
-    if eps1 > 0.0:
-        return LossSpec.eps_nv(spec.alpha, eps1, eps2)
-    return LossSpec.nvc(spec.alpha)
+def tune_all(train, kinds, alphas, plan: CVPlan | None = None) -> dict:
+    """The tuning protocol of every kind; returns {kind: {alpha:
+    hyperparameter dict}}, or for a kind whose tuning failed the error its
+    lone two_stage_protocol raises.
 
-
-def two_stage_protocol(
-    train,
-    learner_kind: str,
-    alphas,
-    plan: CVPlan | None = None,
-    stage1_cache: dict | None = None,
-) -> dict:
-    """Full tuning protocol; returns {alpha: hyperparameter dict}.
-
-    Models without a band skip stage 2, so their per-alpha configurations
-    are identical; the closed-form least-squares learner has nothing to tune
-    at all.  Learner kinds whose stage-1 problem coincides (same search
-    space, same zero-band loss) share results through stage1_cache, since
-    the searches would be identical computations.
+    One cv_scores call scores stage 1 of every kind, a second stage 2 of
+    every banded kind that passed stage 1.  Models without a band skip
+    stage 2, so their per-alpha configurations are identical; the
+    closed-form least-squares learner has nothing to tune at all.
     """
-    if learner_kind not in LEARNER_KINDS:
-        raise ValueError(f"unknown learner kind {learner_kind!r}")
+    unknown = [kind for kind in kinds if kind not in LEARNER_KINDS]
+    if unknown:
+        raise ValueError(f"unknown learner kind {unknown[0]!r}")
     if not alphas:
         raise ValueError("need at least one alpha")
     plan = plan or CVPlan()
 
-    stage1_space = SearchSpace.model_space(learner_kind)
-    if stage1_space.params:
-        spec1 = loss_for(learner_kind, STAGE1_ALPHA, 0.0, 0.0)
-        is_neural = learner_kind.startswith("NN")
-        cache_key = (
-            tuple(sorted(stage1_space.params.items())),
-            spec1.kind, spec1.alpha, is_neural,
-            plan.seed, plan.budget, plan.folds,
-        )
-        if stage1_cache is not None and cache_key in stage1_cache:
-            stage1 = stage1_cache[cache_key]
-        else:
-            stage1, _ = search(train, learner_kind, spec1, stage1_space, plan)
-            if stage1_cache is not None:
-                stage1_cache[cache_key] = stage1
-    else:
-        stage1 = {}
+    tuned = {kind: {} for kind in kinds}  # the stage-1 winner, or the error
+    searched = [kind for kind in tuned if SearchSpace.model_space(kind).params]
+    stage1 = [(kind, STAGE1_ALPHA, SearchSpace.model_space(kind), plan, None) for kind in searched]
+    for kind, result in zip(searched, _searches(train, stage1)):
+        tuned[kind] = result if isinstance(result, Exception) else result[0]
 
-    if learner_kind not in BANDED_KINDS:
-        return {alpha: dict(stage1) for alpha in alphas}
-
-    # one search per ratio, all scored together: every stage-2 fit of a
-    # learner shares its batch shape, so they train as one population
-    problems = [
-        (LossSpec.nvc(alpha), replace(plan, seed=plan.seed + 1000 * (k + 1)))
+    # one search per banded kind and ratio; a kind's searches train as one population
+    banded = [k for k in tuned if k in BANDED_KINDS and not isinstance(tuned[k], Exception)]
+    stage2 = iter(_searches(train, [
+        (kind, alpha, SearchSpace.band_space(),
+         replace(plan, seed=plan.seed + 1000 * (k + 1)), tuned[kind])
+        for kind in banded
         for k, alpha in enumerate(alphas)
-    ]  # band applied per candidate
-    results = _searches(train, learner_kind, SearchSpace.band_space(), problems, stage1)
-    return {alpha: best for alpha, (best, _) in zip(alphas, results)}
+    ]))
+    for kind in tuned:
+        if isinstance(tuned[kind], Exception):
+            continue
+        results = [next(stage2) if kind in banded else (tuned[kind], None) for _ in alphas]
+        failed = [result for result in results if isinstance(result, Exception)]
+        tuned[kind] = failed[0] if failed else {
+            alpha: dict(best) for alpha, (best, _) in zip(alphas, results)
+        }
+    return tuned
+
+
+def two_stage_protocol(train, learner_kind: str, alphas, plan: CVPlan | None = None) -> dict:
+    """Full tuning protocol of one learner kind; returns {alpha: hyperparameter
+    dict}: the one-kind case of tune_all."""
+    tuned = tune_all(train, (learner_kind,), alphas, plan)[learner_kind]
+    if isinstance(tuned, Exception):
+        raise tuned
+    return tuned

@@ -1,11 +1,12 @@
 """Experiment driver integration: report tree, determinism, failure handling."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from censored_newsvendor import experiment
+from censored_newsvendor import experiment, linear
 from censored_newsvendor.data import (
     DemandModelParams,
     generate,
@@ -21,6 +22,7 @@ from censored_newsvendor.experiment import (
 )
 from censored_newsvendor.learners import fit_learner
 from censored_newsvendor.metrics import evaluate_predictions
+from censored_newsvendor.tuning import SearchSpace
 from censored_newsvendor.training import DivergenceError
 
 QUIET = lambda msg: None  # noqa: E731
@@ -51,23 +53,29 @@ class TestRunExperiment:
             assert run.abs_errors.shape == (1629,)
 
     def test_alpha_free_learner_fitted_once_per_seed(self, monkeypatch):
-        calls = []
-        real = experiment.fit_population
+        calls, solves = [], []
+        real, real_solve = experiment.fit_population, linear.fit_mse_closed_form
 
         def counting(dataset, jobs, *args, **kwargs):
             calls.append([job[0] for job in jobs])
             return real(dataset, jobs, *args, **kwargs)
 
+        def solve(dataset):
+            solves.append(len(calls))
+            return real_solve(dataset)
+
         monkeypatch.setattr(experiment, "fit_population", counting)
+        monkeypatch.setattr(linear, "fit_mse_closed_form", solve)
         config = ExperimentConfig(
             alphas=(0.75, 0.85), seeds=(0, 1), algorithms=("LR-MSE", "LR-NVC"),
             tuning_budget=1, cv_folds=1,
         )
         result = run_experiment(config, log=QUIET)
-        assert len(calls) == 2  # one call per seed
+        assert len(calls) == 2  # one final call per seed
         for kinds in calls:
-            assert kinds.count("LR-MSE") == 1  # once per seed
+            assert kinds.count("LR-MSE") == 2  # one job per ratio...
             assert kinds.count("LR-NVC") == 2  # its loss depends on the ratio
+        assert solves == [1, 2]  # ...solved once per seed, in that seed's call
         # the reused fit places the same orders at both ratios, and its record
         # at the second ratio matches a sweep that fits at that ratio alone
         alone = run_experiment(
@@ -110,15 +118,14 @@ class TestRunExperiment:
     def test_one_failing_final_fit_fails_alone(self, monkeypatch):
         # weight decay this strong makes every step grow LR-NVC's coefficients
         # (|1 - 2 eta l2| > 1), so its fit at 0.85 overflows; nothing else does
-        real = experiment.two_stage_protocol
+        real = experiment.tune_all
 
-        def tuned(train, kind, alphas, plan, **kwargs):
-            out = real(train, kind, alphas, plan, **kwargs)
-            if kind == "LR-NVC":
-                out[0.85] = {**out[0.85], "l2": 1e3}
+        def tuned(train, kinds, alphas, plan):
+            out = real(train, kinds, alphas, plan)
+            out["LR-NVC"][0.85] = {**out["LR-NVC"][0.85], "l2": 1e3}
             return out
 
-        monkeypatch.setattr(experiment, "two_stage_protocol", tuned)
+        monkeypatch.setattr(experiment, "tune_all", tuned)
         config = ExperimentConfig(
             alphas=(0.75, 0.85), seeds=(0,), algorithms=("LR-MSE", "LR-NVC", "LR-eNVC-R"),
             tuning_budget=1, cv_folds=1,
@@ -136,6 +143,39 @@ class TestRunExperiment:
             ("LR-MSE", 0.75), ("LR-MSE", 0.85), ("LR-NVC", 0.75),
             ("LR-eNVC-R", 0.75), ("LR-eNVC-R", 0.85),
         ]
+
+    def test_failed_tuning_fails_its_algorithm_alone(self, monkeypatch):
+        # LR-NVC's stage-1 space only draws a refused batch size, so every one
+        # of its runs fails at the tuning stage; LR-eNVC-R, which shares
+        # LR-NVC's stage-1 fits otherwise, is tuned and fitted as if alone
+        real_space = SearchSpace.model_space
+
+        def space(kind):
+            if kind == "LR-NVC":
+                return SearchSpace({"eta": ("uniform", 0.01, 0.02), "batch_size": ("int", 0, 0)})
+            return real_space(kind)
+
+        monkeypatch.setattr(SearchSpace, "model_space", staticmethod(space))
+        config = ExperimentConfig(
+            alphas=(0.75, 0.85), seeds=(0,), algorithms=("LR-MSE", "LR-NVC", "LR-eNVC-R"),
+            tuning_budget=1, cv_folds=1,
+        )
+        result = run_experiment(config, log=QUIET)
+        error = "fold 0 failed: batch size must be >= 1, got 0"
+        assert result.failures == [
+            {"algorithm": "LR-NVC", "alpha": alpha, "seed": 0, "stage": "tune", "error": error}
+            for alpha in config.alphas
+        ]
+        assert [(r.algorithm, r.alpha) for r in result.runs] == [
+            ("LR-MSE", 0.75), ("LR-MSE", 0.85), ("LR-eNVC-R", 0.75), ("LR-eNVC-R", 0.85),
+        ]
+        alone = run_experiment(
+            ExperimentConfig(alphas=config.alphas, seeds=(0,), algorithms=("LR-eNVC-R",),
+                             tuning_budget=1, cv_folds=1),
+            log=QUIET,
+        )
+        assert result.tuned[("LR-eNVC-R", 0)] == alone.tuned[("LR-eNVC-R", 0)]
+        assert [r.nv_cost for r in result.runs[2:]] == [r.nv_cost for r in alone.runs]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown algorithms"):
@@ -190,3 +230,55 @@ class TestReportTree(object):
             assert a.nv_cost == b.nv_cost
             assert a.rmse_q == b.rmse_q
             assert np.array_equal(a.abs_errors, b.abs_errors)
+
+
+def _record(algorithm, alpha, seed, nv_cost, service_gap):
+    errors = np.linspace(0.1, 1.0, 30) * nv_cost
+    return experiment.RunRecord(
+        algorithm, alpha, seed, nv_cost, 1.0, 0.5, service_gap, 0.0, errors
+    )
+
+
+class TestReportGaps:
+    """Reports of a sweep where some runs are missing (they failed)."""
+
+    CONFIG = ExperimentConfig(
+        alphas=(0.65, 0.75, 0.85, 0.95), seeds=(3, 4),
+        algorithms=("LR-MSE", "LR-NVC", "LR-eNVC-R"), tuning_budget=1, cv_folds=1,
+    )
+    COSTS = {"LR-MSE": 120.0, "LR-NVC": 100.0, "LR-eNVC-R": 90.0}
+    GAPS = {"LR-MSE": 0.4, "LR-NVC": 0.2, "LR-eNVC-R": 0.1}
+    # (algorithm, alpha, seed) without a run: LR-eNVC-R at 0.65, LR-NVC at
+    # 0.95, and LR-NVC of seed 4 at 0.85
+    MISSING = {("LR-eNVC-R", 0.65), ("LR-NVC", 0.95), ("LR-NVC", 0.85, 4)}
+
+    def write(self, tmp_path):
+        runs = [
+            _record(a, alpha, seed, self.COSTS[a] + seed, self.GAPS[a])
+            for a in self.CONFIG.algorithms
+            for alpha in self.CONFIG.alphas
+            for seed in self.CONFIG.seeds
+            if (a, alpha) not in self.MISSING and (a, alpha, seed) not in self.MISSING
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            write_reports(experiment.ExperimentResult(self.CONFIG, runs, [], {}), tmp_path)
+        return lambda name: (tmp_path / name).read_text().splitlines()
+
+    def test_service_rows_skip_absent_learners(self, tmp_path):
+        lines = self.write(tmp_path)("service_improvement.csv")
+        assert lines == [
+            "banded,alpha,mean_gap,improvement_vs_mse_pct,improvement_vs_nvc_pct",
+            "LR-eNVC-R,0.75,0.1,75,50",
+            "LR-eNVC-R,0.85,0.1,75,50",
+            "LR-eNVC-R,0.95,0.1,75,",
+        ]
+
+    def test_savings_columns_name_their_seeds(self, tmp_path):
+        lines = self.write(tmp_path)("savings.csv")
+        s3, s4 = 100.0 * 10 / 103, 100.0 * 10 / 104
+        assert lines == [
+            "banded,baseline,alpha,mean_savings_pct,seed_3,seed_4",
+            f"LR-eNVC-R,LR-NVC,0.75,{(s3 + s4) / 2:.10g},{s3:.10g},{s4:.10g}",
+            f"LR-eNVC-R,LR-NVC,0.85,{s3:.10g},{s3:.10g},",
+        ]

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from censored_newsvendor import learners
+from censored_newsvendor import learners, linear
 from censored_newsvendor.data import Dataset
 from censored_newsvendor.learners import fit_learner, fit_population
 from censored_newsvendor.losses import LossSpec, batch_loss
@@ -17,6 +17,7 @@ from censored_newsvendor.tuning import (
     _folds,
     cv_scores,
     search,
+    tune_all,
     two_stage_protocol,
 )
 
@@ -115,30 +116,29 @@ class TestSearch:
     def test_budget_one_returns_the_sample(self, small_train):
         space = SearchSpace({"eta": ("uniform", 0.01, 0.02), "batch_size": ("int", 20, 40)})
         plan = CVPlan(folds=1, seed=6, budget=1)
-        best, table = search(small_train, "LR-NVC", LossSpec.nvc(0.55), space, plan)
+        best, table = search(small_train, "LR-NVC", 0.55, space, plan)
         assert len(table) == 1
         assert best == table[0][0]
 
     def test_pinned_space_returns_the_point(self, small_train):
         space = SearchSpace({"eta": ("uniform", 0.015, 0.015), "batch_size": ("int", 25, 25)})
         plan = CVPlan(folds=1, seed=7, budget=3)
-        best, _ = search(small_train, "LR-NVC", LossSpec.nvc(0.55), space, plan)
+        best, _ = search(small_train, "LR-NVC", 0.55, space, plan)
         assert best["eta"] == 0.015
         assert best["batch_size"] == 25
 
     def test_deterministic_for_fixed_seed(self, small_train):
         space = SearchSpace.model_space("LR-eNVC")
         plan = CVPlan(folds=1, seed=8, budget=4)
-        b1, t1 = search(small_train, "LR-eNVC", LossSpec.nvc(0.55), space, plan)
-        b2, t2 = search(small_train, "LR-eNVC", LossSpec.nvc(0.55), space, plan)
+        b1, t1 = search(small_train, "LR-eNVC", 0.55, space, plan)
+        b2, t2 = search(small_train, "LR-eNVC", 0.55, space, plan)
         assert b1 == b2
         assert [c for c, _ in t1] == [c for c, _ in t2]
 
     def test_budget_prefix_monotonicity(self, small_train):
         space = SearchSpace.model_space("LR-eNVC")
-        spec = LossSpec.nvc(0.55)
-        small = search(small_train, "LR-eNVC", spec, space, CVPlan(folds=1, seed=9, budget=3))
-        large = search(small_train, "LR-eNVC", spec, space, CVPlan(folds=1, seed=9, budget=6))
+        small = search(small_train, "LR-eNVC", 0.55, space, CVPlan(folds=1, seed=9, budget=3))
+        large = search(small_train, "LR-eNVC", 0.55, space, CVPlan(folds=1, seed=9, budget=6))
         assert [c for c, _ in large[1][:3]] == [c for c, _ in small[1]]
         assert min(s for _, s in large[1]) <= min(s for _, s in small[1])
 
@@ -165,16 +165,13 @@ class TestTwoStage:
         assert tuned[0.55]["eta"] == tuned[0.95]["eta"]
         assert tuned[0.55]["batch_size"] == tuned[0.95]["batch_size"]
 
-    def test_stage1_cache_shared_between_twin_kinds(self, small_train):
+    def test_twin_kinds_train_stage1_once(self, small_train, monkeypatch):
         plan = CVPlan(folds=1, seed=12, budget=2)
-        cache = {}
-        nvc = two_stage_protocol(small_train, "LR-NVC", (0.55,), plan, stage1_cache=cache)
-        assert len(cache) == 1
-        banded = two_stage_protocol(
-            small_train, "LR-eNVC-R", (0.55,), plan, stage1_cache=cache
-        )
-        assert len(cache) == 1  # identical stage-1 problem reused
-        assert nvc[0.55]["eta"] == banded[0.55]["eta"]
+        trained = count_trained(monkeypatch)
+        tuned = tune_all(small_train, ("LR-NVC", "LR-eNVC-R"), (0.55,), plan)
+        # stage 1: one set of budget x folds fits serves both kinds; stage 2: LR-eNVC-R's own
+        assert trained == [plan.budget * plan.folds] * 2
+        assert tuned["LR-NVC"][0.55]["eta"] == tuned["LR-eNVC-R"][0.55]["eta"]
 
     def test_empty_alpha_list_rejected(self, small_train):
         with pytest.raises(ValueError):
@@ -186,18 +183,15 @@ class TestTwoStage:
 # candidate, the candidates drawn and merged as the protocol documents.
 
 
-def sequential_search(train, kind, template, space, plan, fixed=None):
+def sequential_search(train, kind, alpha, space, plan, fixed=None):
     rng = np.random.default_rng(plan.seed)
     candidates = [space.sample(rng) for _ in range(plan.budget)]
     table = []
     for cand in candidates:
         merged = {**(fixed or {}), **cand}
-        spec = template
-        if "eps1" in merged:
-            spec = (
-                LossSpec.eps_nv(template.alpha, merged["eps1"], merged["eps2"])
-                if merged["eps1"] > 0.0 else LossSpec.nvc(template.alpha)
-            )
+        spec = LossSpec.nvc(alpha)
+        if merged.get("eps1", 0.0) > 0.0:
+            spec = LossSpec.eps_nv(alpha, merged["eps1"], merged["eps2"])
         table.append((merged, cv_score(train, kind, spec, merged, plan)))
     best = min(table, key=lambda row: row[1])[0]  # the first of equal scores
     return dict(best), table
@@ -205,10 +199,10 @@ def sequential_search(train, kind, template, space, plan, fixed=None):
 
 def sequential_protocol(train, kind, alphas, plan):
     space = SearchSpace.model_space(kind)
-    stage1, _ = sequential_search(train, kind, LossSpec.nvc(0.55), space, plan)
+    stage1, _ = sequential_search(train, kind, 0.55, space, plan)
     return {
         alpha: sequential_search(
-            train, kind, LossSpec.nvc(alpha), SearchSpace.band_space(),
+            train, kind, alpha, SearchSpace.band_space(),
             CVPlan(plan.folds, plan.seed + 1000 * (k + 1), plan.budget), fixed=stage1,
         )[0]
         for k, alpha in enumerate(alphas)
@@ -235,11 +229,11 @@ class TestPooledScoring:
     def test_band_search_matches_sequential(self, small_train, kind):
         fixed = {"eta": 0.02, "batch_size": 30, "l2": 5e-4, "units1": 4, "units2": 3}
         for alpha in (0.6, 0.9):
-            args = (small_train, kind, LossSpec.nvc(alpha), SearchSpace.band_space(), self.PLAN)
+            args = (small_train, kind, alpha, SearchSpace.band_space(), self.PLAN)
             assert_same_search(search(*args, fixed=fixed), sequential_search(*args, fixed=fixed))
 
     def test_groups_of_one_match_sequential(self, small_train):
-        args = (small_train, "LR-eNVC-R", LossSpec.nvc(0.55), SPREAD_BATCHES, self.PLAN)
+        args = (small_train, "LR-eNVC-R", 0.55, SPREAD_BATCHES, self.PLAN)
         result = search(*args)
         assert len({c["batch_size"] for c, _ in result[1]}) == self.PLAN.budget
         assert_same_search(result, sequential_search(*args))
@@ -253,8 +247,9 @@ class TestPooledScoring:
     def test_failure_names_the_sequential_fold(self, small_train):
         # a NaN sale held out by fold 0 but fitted by fold 1 fails fold 1 of
         # every candidate during training; the last candidate fails sooner,
-        # in fold 0 before any training; the pooled path must report the
-        # failure the sequential path meets first
+        # in fold 0 before any training; the third repeats the first, so it
+        # trains once; the pooled path must give each candidate the failure
+        # its sequential folds meet first
         plan = CVPlan(folds=2, seed=14, budget=3)
         (_, held_out_0), (fit_1, _) = _folds(small_train.n, plan)
         row = np.intersect1d(held_out_0, fit_1)[0]
@@ -262,16 +257,20 @@ class TestPooledScoring:
         sales[row] = np.nan
         poisoned = Dataset(small_train.features, sales)
         candidates = [
-            (LossSpec.nvc(0.6), {"eta": 0.02, "batch_size": b}, plan) for b in (20, 30, 20, 0)
+            ("LR-NVC", 0.6, {"eta": 0.02, "batch_size": b}, plan) for b in (20, 30, 20, 0)
         ]
-        with pytest.raises(RuntimeError) as sequential:
-            for spec, hp, p in candidates:
-                cv_score(poisoned, "LR-NVC", spec, hp, p)
-        with pytest.raises(RuntimeError) as pooled:
-            cv_scores(poisoned, "LR-NVC", candidates)
-        assert str(sequential.value).startswith("fold 1 failed: ")
-        assert str(pooled.value) == str(sequential.value)
-        assert type(pooled.value.__cause__) is type(sequential.value.__cause__)
+        sequential = []
+        for kind, alpha, hp, p in candidates:
+            with pytest.raises(RuntimeError) as failed:
+                cv_score(poisoned, kind, LossSpec.nvc(alpha), hp, p)
+            sequential.append(failed.value)
+        pooled = cv_scores(poisoned, candidates)
+        assert str(sequential[0]).startswith("fold 1 failed: ")
+        assert str(sequential[3]).startswith("fold 0 failed: ")
+        assert [str(e) for e in pooled] == [str(e) for e in sequential]
+        for got, want in zip(pooled, sequential):
+            assert type(got) is RuntimeError
+            assert type(got.__cause__) is type(want.__cause__)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +360,17 @@ class TestWorkerPool:
 
     def test_failing_fold_is_reported_from_workers(self, small_train, monkeypatch):
         plan = CVPlan(folds=2, seed=15, budget=1)
-        candidates = [(LossSpec.nvc(0.6), {**NET, "batch_size": b}, plan) for b in (20, 30)]
-        candidates.append((LossSpec.mse(), {**NET, "nn_eta": 1e300}, plan))
-        errors = []
+        candidates = [("NN-MSE", 0.6, {**NET, "batch_size": b}, plan) for b in (20, 30)]
+        candidates.append(("NN-MSE", 0.5, {**NET, "nn_eta": 1e300}, plan))
+        scores = []
         for cpus in (1, 2):
             monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
-            with pytest.raises(RuntimeError) as failed, np.errstate(all="ignore"):
-                cv_scores(small_train, "NN-MSE", candidates)
+            with np.errstate(all="ignore"):
+                scores.append([str(s) for s in cv_scores(small_train, candidates)])
             assert multiprocessing.active_children() == []
-            errors.append(str(failed.value))
-        assert errors[0] == errors[1] == "fold 0 failed: non-finite parameters at epoch 1"
+        assert scores[0] == scores[1]
+        assert scores[0][2] == "fold 0 failed: non-finite parameters at epoch 1"
+        assert all(np.isfinite(float(s)) for s in scores[0][:2])
 
     def test_one_job_starts_no_process(self, small_train, monkeypatch):
         def refuse():
@@ -394,3 +394,91 @@ class TestWorkerPool:
         assert not helper.is_alive()
         assert forks == 0
         assert threaded == fit_with_cpus(monkeypatch, 2, small_train, jobs)[0]
+
+
+# ---------------------------------------------------------------------------
+# Repeated work: fit_population trains jobs with equal planned fits once, and
+# tune_all tunes several kinds with one fit_population call per stage.
+
+
+def count_trained(monkeypatch):
+    """Record, per fit_population call, how many descent fits it trains."""
+    trained, real = [], learners._train_all
+
+    def train_all(dataset, chunks, *args):
+        trained.append(sum(len(chunk) for _, chunk in chunks))
+        return real(dataset, chunks, *args)
+
+    monkeypatch.setattr(learners, "_train_all", train_all)
+    return trained
+
+
+class TestRepeatedWork:
+    def test_equal_plans_train_once(self, small_train, monkeypatch):
+        # stage-1 twins (the zero band makes LR-eNVC-R's loss LR-NVC's), an
+        # alpha-free network at two ratios, least squares at two, and a
+        # banded fit that repeats none of them: three descent fits, one solve
+        part = np.sort(np.random.default_rng(4).choice(small_train.n, size=90, replace=False))
+        twin = {**FAST, "l2": 5e-4}
+        jobs = [
+            ("LR-NVC", part, 0.55, twin, 1),
+            ("NN-MSE", part, 0.6, NET, 2),
+            ("LR-eNVC-R", part, 0.55, twin, 1),
+            ("NN-MSE", part, 0.9, NET, 2),
+            ("LR-MSE", part, 0.6, None, 0),
+            ("LR-MSE", part, 0.9, None, 0),
+            ("LR-eNVC-R", part, 0.55, {**twin, "eps1": 0.1, "eps2": 0.0}, 1),
+        ]
+        trained, solves, real_solve = count_trained(monkeypatch), [], linear.fit_mse_closed_form
+
+        def solve(ds):
+            solves.append(ds.n)
+            return real_solve(ds)
+
+        monkeypatch.setattr(linear, "fit_mse_closed_form", solve)
+        pooled = [outcome(fit) for fit in fit_population(small_train, jobs)]
+        assert trained == [3] and solves == [part.size]
+        assert [kind for kind, *_ in pooled] == [job[0] for job in jobs]
+        for (kind, rows, alpha, hp, seed), got in zip(jobs, pooled):
+            assert got == outcome(fit_learner(kind, small_train.take(rows), alpha, hp, seed))
+        fits = fit_population(small_train, jobs)
+        assert fits[0] is not fits[2] and fits[0].fit_seconds == fits[2].fit_seconds
+
+    def test_tune_all_equals_each_kind_alone(self, small_train, monkeypatch):
+        # LR-NVC's stage-1 space only draws a refused batch size, so it fails
+        # in stage 1; stage 2 draws a weight decay that makes every LR-eNVC-R
+        # fit diverge, at an epoch that differs per ratio, and that no
+        # network uses; every other kind is tuned as if alone
+        real_space, real_band = SearchSpace.model_space, SearchSpace.band_space
+
+        def space(kind):
+            if kind == "LR-NVC":
+                return SearchSpace({"eta": ("uniform", 0.01, 0.02), "batch_size": ("int", 0, 0)})
+            return real_space(kind)
+
+        monkeypatch.setattr(SearchSpace, "model_space", staticmethod(space))
+        monkeypatch.setattr(SearchSpace, "band_space", staticmethod(
+            lambda: SearchSpace({**real_band().params, "l2": ("uniform", 0.0, 1e8)})
+        ))
+        kinds = ("LR-MSE", "LR-NVC", "LR-eNVC-R", "NN-MSE", "NN-eNVC")
+        alphas, plan = (0.6, 0.75), CVPlan(folds=2, seed=16, budget=2)
+        trained = count_trained(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tuned = tune_all(small_train, kinds, alphas, plan)
+            assert len(trained) == 2  # one fit_population call per stage
+            with pytest.raises(RuntimeError) as diverged:
+                sequential_protocol(small_train, "LR-eNVC-R", alphas, plan)
+        assert str(diverged.value).startswith("fold 0 failed: non-finite parameters at epoch")
+        assert type(tuned["LR-eNVC-R"]) is RuntimeError
+        assert str(tuned["LR-eNVC-R"]) == str(diverged.value)
+        for kind in kinds:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    alone = two_stage_protocol(small_train, kind, alphas, plan)
+            except RuntimeError as exc:
+                alone = exc
+            if isinstance(alone, Exception):
+                assert type(tuned[kind]) is RuntimeError and str(tuned[kind]) == str(alone)
+            else:
+                assert tuned[kind] == alone, kind
+        assert str(tuned["LR-NVC"]) == "fold 0 failed: batch size must be >= 1, got 0"
